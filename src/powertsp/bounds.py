@@ -36,6 +36,9 @@ class ModelParams:
     c2: float = 1.0
 
     def __post_init__(self):
+        for name in ("eps1", "eps2", "alpha", "c1", "c2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0.0 < self.eps1 <= self.eps2):
             raise ValueError("need 0 < eps1 <= eps2")
         if self.alpha <= 0.0:
@@ -202,8 +205,8 @@ def beta_bounds(
     beta_low maximizes the lower-rate objective, beta_up minimizes the
     upper-rate objective, both over A in (0, a_max].
     """
-    if alpha <= 0.0 or a_max <= 0.0:
-        raise ValueError("alpha and a_max must be positive")
+    if not (0.0 < alpha < math.inf and 0.0 < a_max < math.inf):
+        raise ValueError("alpha and a_max must be positive and finite")
     ModelParams(eps1=eps1, eps2=eps2, alpha=alpha)  # reject bad bounds before scanning
     arg_lo, val_lo, sk_lo = _optimize(
         lambda a: lower_rate_objective(a, alpha, eps1, eps2),

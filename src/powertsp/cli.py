@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -128,6 +129,12 @@ def cmd_bounds(args) -> int:
 
 def cmd_beta(args) -> int:
     if args.curve:
+        if not (math.isfinite(args.alpha_min) and math.isfinite(args.alpha_max)):
+            raise CliError("--alpha-min and --alpha-max must be finite")
+        if not args.alpha_step > 0.0:
+            raise CliError(f"--alpha-step must be positive, got {args.alpha_step}")
+        if args.alpha_min > args.alpha_max:
+            raise CliError(f"--alpha-min {args.alpha_min} exceeds --alpha-max {args.alpha_max}")
         alphas = np.arange(args.alpha_min, args.alpha_max + 1e-12, args.alpha_step)
         print("alpha,beta_low,beta_up,argA_low,argA_up")
         for alpha in alphas:

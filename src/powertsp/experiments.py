@@ -27,6 +27,7 @@ from .weights import BUILTIN_KINDS, WeightFunction, make_weight_function
 THREADS_ENV = "POWERTSP_THREADS"
 HEURISTICS = ("grid_tour", "grid_tour+two_opt")
 ALMOST_SURE_ALPHA_LIMIT = 2.0 * (math.sqrt(2.0) - 1.0)
+_REQUIRED_CONFIG_KEYS = ("weight", "alpha", "density", "n_list", "trials", "seed", "a")
 
 
 class ReportIOError(OSError):
@@ -56,8 +57,11 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.weight.get("kind") not in BUILTIN_KINDS:
             raise ValueError(f"experiment configs support weight kinds {BUILTIN_KINDS}")
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+        if not (0.0 < self.alpha < math.inf):
+            raise ValueError("alpha must be positive and finite")
+        for key in ("eps1", "eps2"):
+            if not math.isfinite(float(self.density.get(key, 1.0))):
+                raise ValueError(f"density {key} must be finite")
         if not self.n_list:
             raise ValueError("n_list must be non-empty")
         if self.n_list[0] < 2:
@@ -82,6 +86,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        missing = [key for key in _REQUIRED_CONFIG_KEYS if key not in d]
+        if missing:
+            raise ValueError(f"experiment config is missing key(s) {', '.join(missing)}")
         policy = d.get("policy", {})
         return cls(
             weight=dict(d["weight"]),

@@ -9,6 +9,7 @@ are independent and every sample is reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +76,8 @@ def build_density(kind: str, eps1: float, eps2: float, k: int | None = None) -> 
     pinned to eps1/eps2 where possible and rescaled on one side so the
     integral is exactly 1 while both values stay inside [eps1, eps2].
     """
-    if not (0.0 < eps1 <= eps2):
-        raise ValueError(f"need 0 < eps1 <= eps2, got eps1={eps1}, eps2={eps2}")
+    if not (0.0 < eps1 <= eps2 < math.inf):
+        raise ValueError(f"need 0 < eps1 <= eps2 < inf, got eps1={eps1}, eps2={eps2}")
     if kind == "uniform":
         if not (eps1 <= 1.0 <= eps2):
             raise ValueError("uniform density is constant 1; bounds must bracket 1")
@@ -116,6 +117,8 @@ def build_density(kind: str, eps1: float, eps2: float, k: int | None = None) -> 
 
 def density_from_dict(desc: dict) -> Density:
     """Density from its JSON description {"kind", "eps1", "eps2", "k"}."""
+    if "kind" not in desc:
+        raise ValueError("density description is missing key 'kind'")
     return build_density(
         kind=desc["kind"],
         eps1=float(desc.get("eps1", 1.0)),

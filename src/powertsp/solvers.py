@@ -2,19 +2,26 @@
 
 Exact solvers: a full permutation scan (oracle, n <= 10) and a bitmask
 dynamic program (n <= 18), both returning the lexicographically smallest
-canonical optimal order.  Constructive solver: the cell-chained tour that
-strings nearest-neighbor paths through dense cells (>= 3 nodes) and sparse
-cells (1-2 nodes) of a tiling in serpentine label order and merges the two
-chains into a spanning cycle.  Plus 2-opt polishing, exact/heuristic
-minimum-weight spanning paths, the in/cross/out decomposition path, and the
-dense/sparse label-gap statistics.
+canonical optimal order.  The dynamic program fills its completion table
+one popcount layer at a time, from the full mask down, with one vectorised
+minimum per target node; a cycle's table is indexed by ``mask >> 1``
+(every mask it reads holds node 0), so it takes 8·n·2^(n-1) bytes.  The
+permutation scan shares no code with it.  Constructive solver: the
+cell-chained tour that strings nearest-neighbor paths through dense cells
+(>= 3 nodes) and sparse cells (1-2 nodes) of a tiling in serpentine label
+order and merges the two chains into a spanning cycle.  Plus 2-opt
+polishing, exact/heuristic minimum-weight spanning paths, the
+in/cross/out decomposition path, and the dense/sparse label-gap
+statistics.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from itertools import permutations
+from functools import lru_cache
+from itertools import islice, permutations
 
 import numpy as np
 
@@ -123,56 +130,79 @@ def tsp_bruteforce(points, wf: WeightFunction, alpha: float) -> Tour:
             prev = node
         return w + mat[prev][0]
 
-    best_w = math.inf
-    for perm in permutations(range(1, n)):
-        if perm[0] > perm[-1]:
-            continue  # reflection of an earlier cycle
-        best_w = min(best_w, cycle_weight(perm))
+    def cycles():
+        # skip the reflection of an earlier cycle
+        return (perm for perm in permutations(range(1, n)) if perm[0] <= perm[-1])
+
+    weights = array("d", map(cycle_weight, cycles()))
+    best_w = min(weights)
     tol = 1e-12 * (1.0 + abs(best_w))
-    for perm in permutations(range(1, n)):
-        if perm[0] > perm[-1]:
-            continue
-        if cycle_weight(perm) <= best_w + tol:
-            order = (0,) + perm
-            return Tour(order=order, weight=tour_weight(pts, order, wf, alpha))
-    raise AssertionError("no cycle matched its own minimum")
+    first = next(k for k, w in enumerate(weights) if w <= best_w + tol)
+    order = (0,) + next(islice(cycles(), first, None))
+    return Tour(order=order, weight=tour_weight(pts, order, wf, alpha))
+
+
+@lru_cache(maxsize=None)
+def _popcount_layers(bits: int) -> tuple[np.ndarray, ...]:
+    """Every ``bits``-bit row index grouped by popcount: entry k holds the
+    rows with k bits set, ascending.  Read-only, since it is cached."""
+    rows = np.arange(1 << bits, dtype=np.int64)
+    counts = np.zeros(rows.size, dtype=np.int8)
+    for b in range(bits):
+        counts += ((rows >> b) & 1).astype(np.int8)
+    order = np.argsort(counts, kind="stable")
+    bounds = np.cumsum(np.bincount(counts, minlength=bits + 1))[:-1]
+    layers = tuple(np.split(order, bounds))
+    for layer in layers:
+        layer.setflags(write=False)
+    return layers
 
 
 def _completion_table(mat: np.ndarray, close_to_start: bool) -> np.ndarray:
-    """h[mask, j]: minimum cost of finishing a route that stands at j with
-    ``mask`` already visited — visiting every remaining node once, plus the
-    edge back to node 0 when ``close_to_start``.
+    """h[mask >> shift, j]: minimum cost of finishing a route that stands at
+    j with ``mask`` already visited — visiting every remaining node once,
+    plus the edge back to node 0 when ``close_to_start``.
 
-    Entries for j outside mask are filled but never read.
+    Rows are filled from the full mask down, one popcount layer at a time,
+    with one vectorised minimum per target node over the whole layer (the
+    Held–Karp/Bellman recursion).  A cycle starts at node 0, so every mask
+    it reads contains bit 0 and its row is ``mask >> 1`` (shift 1): the
+    table holds 2^(n-1) rows, 8·n·2^(n-1) bytes.  A path keeps row = mask
+    (shift 0, 8·n·2^n bytes; row 0 is never read).  Entries for j outside
+    mask are filled but never read.
     """
     n = mat.shape[0]
-    full = (1 << n) - 1
-    h = np.full((1 << n, n), np.inf)
-    h[full, :] = mat[:, 0] if close_to_start else 0.0
-    for mask in range(full - 1, 0, -1):
-        if close_to_start and not (mask & 1):
-            continue
-        rem = [t for t in range(n) if not (mask >> t) & 1]
-        if not rem:
-            continue
-        vals = np.array([h[mask | (1 << t), t] for t in rem])
-        h[mask, :] = np.min(mat[:, rem] + vals[None, :], axis=1)
+    shift = 1 if close_to_start else 0
+    bits = n - shift
+    h = np.full((1 << bits, n), np.inf)
+    h[-1, :] = mat[:, 0] if close_to_start else 0.0
+    layers = _popcount_layers(bits)
+    targets = [(t, 1 << (t - shift), mat[:, t]) for t in range(shift, n)]
+    for k in range(bits - 1, -shift, -1):  # down to the masks holding one node
+        rows = layers[k]
+        acc = np.full((rows.size, n), np.inf)
+        for t, bit, col in targets:
+            # rows already holding t look up their own, still-infinite row
+            np.minimum(acc, h[rows | bit, t][:, None] + col[None, :], out=acc)
+        h[rows] = acc
     return h
 
 
-def _greedy_reconstruct(mat: np.ndarray, h: np.ndarray, start: int, n: int) -> list[int]:
-    """Walk the completion table choosing the smallest next node that still
-    achieves the optimal remaining cost (up to float-tie tolerance)."""
+def _greedy_reconstruct(mat: np.ndarray, h: np.ndarray, start: int, shift: int) -> list[int]:
+    """Walk the completion table (row = mask >> shift) choosing the smallest
+    next node that still achieves the optimal remaining cost (up to
+    float-tie tolerance)."""
+    n = mat.shape[0]
     full = (1 << n) - 1
-    tol = 1e-12 * (1.0 + abs(float(h[(1 << start), start])))
+    tol = 1e-12 * (1.0 + abs(float(h[(1 << start) >> shift, start])))
     mask, j = 1 << start, start
     order = [start]
     while mask != full:
-        target = h[mask, j]
+        target = h[mask >> shift, j]
         for t in range(n):
             if (mask >> t) & 1:
                 continue
-            if mat[j, t] + h[mask | (1 << t), t] <= target + tol:
+            if mat[j, t] + h[(mask | (1 << t)) >> shift, t] <= target + tol:
                 order.append(t)
                 mask |= 1 << t
                 j = t
@@ -193,7 +223,7 @@ def tsp_exact(points, wf: WeightFunction, alpha: float) -> Tour:
     if n == 2:
         return Tour(order=(0, 1), weight=tour_weight(pts, (0, 1), wf, alpha))
     h = _completion_table(mat, close_to_start=True)
-    order = canonical_cycle(_greedy_reconstruct(mat, h, start=0, n=n))
+    order = canonical_cycle(_greedy_reconstruct(mat, h, start=0, shift=1))
     return Tour(order=order, weight=tour_weight(pts, order, wf, alpha))
 
 
@@ -261,7 +291,7 @@ def min_weight_spanning_path(
             best = float(starts.min())
             tol = 1e-12 * (1.0 + abs(best))
             start = int(np.flatnonzero(starts <= best + tol)[0])
-        order = _greedy_reconstruct(mat, h, start=start, n=n)
+        order = _greedy_reconstruct(mat, h, start=start, shift=0)
         exact = True
     else:
         start = required_endpoint if required_endpoint is not None else 0
@@ -291,7 +321,7 @@ def two_opt(points, tour: Tour, wf: WeightFunction, alpha: float,
         return Tour(order=order, weight=tour_weight(pts, order, wf, alpha))
     mat = weight_matrix(wf, alpha, pts)
     o = np.asarray(order)
-    tol = 1e-12 * (1.0 + tour.weight)
+    tol = 1e-12 * (1.0 + tour_weight(pts, order, wf, alpha))
     for _ in range(max_passes):
         improved = False
         for i in range(n - 2):

@@ -1,7 +1,12 @@
 import json
+import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import powertsp
 from powertsp.cli import main
 
 CORNERS_CSV = """# unit square corners, perimeter order
@@ -128,6 +133,19 @@ def test_verify_passes(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
+def test_verify_output_unchanged(capsys):
+    # stdout of the exact-solver-heavy invariant run, recorded before the
+    # subset DP was layered; the solvers' orders and weights must not move
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "16", "--instances", "24", "--seed", "1")
+    assert code == 0
+    assert out == "".join(
+        f"PASS {name} (cases=24)\n"
+        for name in ("oracle_equivalence", "dominance", "subadditivity",
+                     "metric_monotonicity", "one_node_removal", "scaling",
+                     "translation", "euclidean_sandwich")
+    )
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     from powertsp.invariants import PropertyResult
 
@@ -178,3 +196,55 @@ def test_csv_comments_and_blank_lines(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "solve", "--points", str(path))
     assert code == 0
     assert json.loads(out)["n"] == 3
+
+
+def run_cli_process(*argv):
+    """The CLI in a fresh interpreter, so an uncaught exception shows up as a
+    traceback on stderr rather than as a test error."""
+    src = os.path.dirname(os.path.dirname(powertsp.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "powertsp.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "--alpha", "nan"], "alpha must be finite"),
+    (["bounds", "--alpha", "1", "--eps2", "inf"], "eps2 must be finite"),
+    (["beta", "--alpha", "inf"], "alpha and a_max must be positive and finite"),
+    (["beta", "--curve", "--alpha-step", "0"], "--alpha-step must be positive"),
+    (["beta", "--curve", "--alpha-step", "-0.25"], "--alpha-step must be positive"),
+    (["beta", "--curve", "--alpha-min", "2", "--alpha-max", "1"], "exceeds --alpha-max"),
+])
+def test_bad_numbers_fail_at_the_boundary(argv, message):
+    proc = run_cli_process(*argv)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("drop, patch, message", [
+    ("density", {}, "missing key(s) density"),
+    ("n_list", {}, "missing key(s) n_list"),
+    (None, {"density": {"eps1": 1.0}}, "missing key 'kind'"),
+    (None, {"alpha": math.nan}, "alpha must be positive and finite"),
+    (None, {"density": {"kind": "uniform", "eps2": math.inf}}, "eps2 must be finite"),
+])
+def test_bad_config_fails_at_the_boundary(tmp_path, drop, patch, message):
+    cfg = {
+        "weight": {"kind": "euclidean"},
+        "alpha": 1.0,
+        "density": {"kind": "uniform", "eps1": 1.0, "eps2": 1.0},
+        "n_list": [8, 12],
+        "trials": 2,
+        "seed": 1,
+        "a": 1.0,
+    }
+    cfg.pop(drop, None)
+    cfg.update(patch)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    proc = run_cli_process("simulate", "scaling", "--config", str(cfg_path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr

@@ -1,12 +1,15 @@
 import math
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from powertsp.bounds import ModelParams, deviation_constants
 from powertsp.geometry import build_tiling
 from powertsp.sampling import build_density, sample_binomial
 from powertsp.solvers import (
+    Tour,
+    _completion_table,
     approx_tsp_path,
     canonical_cycle,
     gap_statistics,
@@ -17,7 +20,7 @@ from powertsp.solvers import (
     tsp_exact,
     two_opt,
 )
-from powertsp.weights import edge_weight, make_weight_function
+from powertsp.weights import edge_weight, make_weight_function, weight_matrix
 
 ROOT2 = math.sqrt(2.0)
 EU = make_weight_function("euclidean")
@@ -163,6 +166,122 @@ def test_exact_handles_n18_and_dominates_grid_tour():
         tsp_exact(random_points(19, seed=4), EU, 1.0)
 
 
+# Reference: the per-mask subset DP the layered table replaced.  The layered
+# fill takes each minimum over the same float sums, so orders and weights
+# must match exactly, ties included.
+
+
+def reference_table(mat, close_to_start):
+    n = mat.shape[0]
+    full = (1 << n) - 1
+    h = np.full((1 << n, n), np.inf)
+    h[full, :] = mat[:, 0] if close_to_start else 0.0
+    for mask in range(full - 1, 0, -1):
+        if close_to_start and not (mask & 1):
+            continue
+        rem = [t for t in range(n) if not (mask >> t) & 1]
+        if not rem:
+            continue
+        vals = np.array([h[mask | (1 << t), t] for t in rem])
+        h[mask, :] = np.min(mat[:, rem] + vals[None, :], axis=1)
+    return h
+
+
+def reference_reconstruct(mat, h, start, n):
+    full = (1 << n) - 1
+    tol = 1e-12 * (1.0 + abs(float(h[(1 << start), start])))
+    mask, j = 1 << start, start
+    order = [start]
+    while mask != full:
+        target = h[mask, j]
+        for t in range(n):
+            if (mask >> t) & 1:
+                continue
+            if mat[j, t] + h[mask | (1 << t), t] <= target + tol:
+                order.append(t)
+                mask |= 1 << t
+                j = t
+                break
+        else:
+            raise AssertionError("completion table inconsistent")
+    return order
+
+
+def reference_tour(pts, wf, alpha):
+    n = len(pts)
+    if n == 2:
+        order = (0, 1)
+    else:
+        mat = weight_matrix(wf, alpha, pts)
+        h = reference_table(mat, close_to_start=True)
+        order = canonical_cycle(reference_reconstruct(mat, h, 0, n))
+    return order, tour_weight(pts, order, wf, alpha)
+
+
+def reference_paths(pts, wf, alpha, required_endpoints):
+    """(order, weight, endpoints, exact) per required endpoint, one table."""
+    n = len(pts)
+    mat = weight_matrix(wf, alpha, pts)
+    h = reference_table(mat, close_to_start=False)
+    out = []
+    for required in required_endpoints:
+        if required is not None:
+            start = required
+        else:
+            starts = np.array([h[1 << s, s] for s in range(n)])
+            best = float(starts.min())
+            start = int(np.flatnonzero(starts <= best + 1e-12 * (1.0 + abs(best)))[0])
+        order = reference_reconstruct(mat, h, start, n)
+        if required is None and order[0] > order[-1]:
+            order = order[::-1]
+        weight = float(np.sum(mat[order[:-1], order[1:]]))
+        out.append((tuple(order), weight, (order[0], order[-1]), True))
+    return out
+
+
+# 5 x 5 lattice: many equal edge lengths, hence many tied optima
+LATTICE = np.array([(x, y) for x in (-0.4, -0.2, 0.0, 0.2, 0.4)
+                    for y in (-0.4, -0.2, 0.0, 0.2, 0.4)])
+KINDS = ("euclidean", "coordinate_metric", "radial_metric")
+ALPHAS = (0.5, 1.0, 1.5, 2.0)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_completion_table_bit_identical_to_reference(n):
+    # the cycle table keeps only the masks holding node 0, at row mask >> 1
+    for case, (kind, alpha) in enumerate(zip(KINDS, ALPHAS)):
+        rng = np.random.default_rng(2000 * n + case)
+        pts = LATTICE[rng.choice(len(LATTICE), size=n, replace=False)]
+        mat = weight_matrix(make_weight_function(kind), alpha, pts)
+        cycle = _completion_table(mat, close_to_start=True)
+        assert cycle.shape == (1 << (n - 1), n)
+        assert np.array_equal(cycle, reference_table(mat, close_to_start=True)[1::2])
+        path = _completion_table(mat, close_to_start=False)
+        assert np.array_equal(path, reference_table(mat, close_to_start=False))
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_exact_solvers_match_reference_dp(n):
+    # every (kind, alpha) pair up to n = 12; one alpha per kind beyond,
+    # where the per-mask reference costs seconds per instance
+    combos = [(k, a) for k in KINDS for a in ALPHAS]
+    if n > 12:
+        combos = [(k, ALPHAS[(n + i) % 4]) for i, k in enumerate(KINDS)]
+    for case, (kind, alpha) in enumerate(combos):
+        wf = make_weight_function(kind)
+        if case % 2:
+            rng = np.random.default_rng(1000 * n + case)
+            pts = LATTICE[rng.choice(len(LATTICE), size=n, replace=False)]
+        else:
+            pts = random_points(n, seed=1000 * n + case)
+        t = tsp_exact(pts, wf, alpha)
+        assert (t.order, t.weight) == reference_tour(pts, wf, alpha), (kind, alpha)
+        endpoints = (None, 0, n - 1)
+        for required, ref in zip(endpoints, reference_paths(pts, wf, alpha, endpoints)):
+            p = min_weight_spanning_path(pts, wf, alpha, required_endpoint=required)
+            assert (p.order, p.weight, p.endpoints, p.exact) == ref, (kind, alpha, required)
+
+
 # ---------------------------------------------------------------------------
 # constructive tour
 # ---------------------------------------------------------------------------
@@ -217,8 +336,6 @@ def test_grid_tour_upper_bound_small_sample():
 
 
 def test_two_opt_uncrosses_diagonals():
-    from powertsp.solvers import Tour
-
     crossing = Tour(order=(0, 2, 1, 3), weight=tour_weight(CORNERS, (0, 2, 1, 3), EU, 1.0))
     polished = two_opt(CORNERS, crossing, EU, 1.0)
     assert polished.weight == pytest.approx(4.0, abs=1e-12)
@@ -241,6 +358,18 @@ def test_two_opt_never_increases_weight():
         p = two_opt(pts, g, EU, 1.5)
         assert p.weight <= g.weight + 1e-9
         assert sorted(p.order) == list(range(n))
+
+
+@pytest.mark.parametrize("bogus", [math.nan, 1e300])
+def test_two_opt_ignores_a_wrong_cached_weight(bogus):
+    # the tolerance comes from the recomputed weight, not the caller's
+    n = 12
+    pts = random_points(n, seed=950)
+    g = grid_tour(pts, EU, 1.0, build_tiling(n, 1.0))
+    honest = two_opt(pts, g, EU, 1.0)
+    assert honest.weight < g.weight  # the polish has work to do
+    polished = two_opt(pts, Tour(order=g.order, weight=bogus), EU, 1.0)
+    assert polished == honest
 
 
 # ---------------------------------------------------------------------------
