@@ -114,36 +114,38 @@ def geometric_moment_factorial_bound(p: float, r: int) -> float:
     return math.factorial(int(r)) / (-math.expm1(-p)) ** int(r)
 
 
-def deviation_constants(mp: ModelParams, a: float, tol: float = 1e-9) -> tuple[float, float]:
-    """The lower/upper deviation constants (C1(A), C2(A)).
+def _c1_formula(a: float, alpha: float, eps1: float, eps2: float, c1: float) -> float:
+    """C1(A) = (c1 A)^alpha / A^2 * (1 - e^{-eps1 A^2}) * e^{-8 eps2 A^2}."""
+    a2 = a * a
+    return (c1 * a) ** alpha / a2 * (-math.expm1(-eps1 * a2)) * math.exp(-8.0 * eps2 * a2)
 
-    C1(A) = (c1 A)^alpha / A^2 * (1 - e^{-eps1 A^2}) * e^{-8 eps2 A^2};
-    C2(A) = (2 c2 A)^alpha * (1 + (E T~^alpha + E T^^alpha) / A^2) with T~
-    geometric on the dense-cell probability p and T^ geometric on 1 - p.
-    """
+
+def _c2_formula(a: float, alpha: float, delta: float, c2: float, tol: float) -> float:
+    """C2(A) = (2 c2 A)^alpha * (1 + (E T~^alpha + E T^^alpha) / A^2) with T~
+    geometric on the dense-cell probability p and T^ geometric on 1 - p."""
+    p = p_dense(a, delta)
+    moments = geometric_moment(p, alpha, tol) + geometric_moment(1.0 - p, alpha, tol)
+    return (2.0 * c2 * a) ** alpha * (1.0 + moments / (a * a))
+
+
+def deviation_constants(mp: ModelParams, a: float, tol: float = 1e-9) -> tuple[float, float]:
+    """The lower/upper deviation constants (C1(A), C2(A)) of ``_c1_formula``
+    and ``_c2_formula``."""
     if a <= 0.0:
         raise ValueError("a must be positive")
-    alpha = mp.alpha
-    a2 = a * a
-    c1_const = (mp.c1 * a) ** alpha / a2 * (-math.expm1(-mp.eps1 * a2)) * math.exp(-8.0 * mp.eps2 * a2)
-    p = p_dense(a, mp.delta)
-    moments = geometric_moment(p, alpha, tol) + geometric_moment(1.0 - p, alpha, tol)
-    c2_const = (2.0 * mp.c2 * a) ** alpha * (1.0 + moments / a2)
-    return c1_const, c2_const
+    return (_c1_formula(a, mp.alpha, mp.eps1, mp.eps2, mp.c1),
+            _c2_formula(a, mp.alpha, mp.delta, mp.c2, tol))
 
 
 def lower_rate_objective(a: float, alpha: float, eps1: float, eps2: float) -> float:
-    """beta_low integrand: A^(alpha-2) (1 - e^{-eps1 A^2}) e^{-8 eps2 A^2}."""
-    a2 = a * a
-    return a**alpha / a2 * (-math.expm1(-eps1 * a2)) * math.exp(-8.0 * eps2 * a2)
+    """beta_low integrand: C1(A) with c1 = 1."""
+    return _c1_formula(a, alpha, eps1, eps2, 1.0)
 
 
 def upper_rate_objective(a: float, alpha: float, eps1: float, eps2: float, tol: float = 1e-9) -> float:
-    """beta_up integrand: (2A)^alpha (1 + (E T_a^alpha + E T_b^alpha)/A^2)."""
-    mp = ModelParams(eps1=eps1, eps2=eps2, alpha=alpha)
-    p = p_dense(a, mp.delta)
-    moments = geometric_moment(p, alpha, tol) + geometric_moment(1.0 - p, alpha, tol)
-    return (2.0 * a) ** alpha * (1.0 + moments / (a * a))
+    """beta_up integrand: C2(A) with c2 = 1."""
+    delta = ModelParams(eps1=eps1, eps2=eps2, alpha=alpha).delta
+    return _c2_formula(a, alpha, delta, 1.0, tol)
 
 
 def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:

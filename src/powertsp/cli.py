@@ -20,7 +20,7 @@ from .experiments import ExperimentConfig, ReportIOError, RUNNERS, report_to_jso
 from .geometry import build_tiling
 from .invariants import run_invariant_suite
 from .solvers import grid_tour, tsp_exact, two_opt, EXACT_TOUR_MAX_N
-from .weights import make_weight_function
+from .weights import BUILTIN_KINDS, make_weight_function
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -165,7 +165,7 @@ def cmd_simulate(args) -> int:
         raise ReportIOError(f"cannot read config from {args.config!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{args.config}: invalid JSON: {exc}")
-    if args.seed is not None:
+    if args.seed is not None and isinstance(raw, dict):
         raw["seed"] = args.seed
     cfg = ExperimentConfig.from_dict(raw)
     report = RUNNERS[args.kind](cfg)
@@ -191,7 +191,7 @@ def build_parser() -> Parser:
 
     def add_weight_flags(p):
         p.add_argument("--weight", default="euclidean",
-                       choices=["euclidean", "coordinate_metric", "radial_metric"],
+                       choices=BUILTIN_KINDS,
                        help="edge weight kind")
         p.add_argument("--alpha", type=float, default=1.0, help="edge weight exponent")
 

@@ -82,8 +82,8 @@ def build_tiling(n: int, a: float) -> Tiling:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if a <= 0.0:
-        raise ValueError(f"a must be positive, got {a}")
+    if not (0.0 < a < math.inf):
+        raise ValueError(f"a must be positive and finite, got {a}")
     root_n = math.sqrt(n)
     ratio = root_n / a
     if ratio < 1.0 - _RATIO_EPS:
@@ -103,21 +103,29 @@ def build_tiling(n: int, a: float) -> Tiling:
     )
 
 
-def cell_index_array(t: Tiling, coords: np.ndarray) -> np.ndarray:
-    """Serpentine cell labels (1-based) for an (m, 2) array of coordinates.
+def grid_col_row(coords: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column (left to right) and row (top to bottom) of the k x k grid cell
+    holding each point of a (..., 2) array of unit-square coordinates.
 
     Cells are half-open [x0, x1) x (y0, y1] with the rightmost column and
     bottom row closed, so every point of the square lands in exactly one
-    cell.
+    cell.  Points outside the square are not checked.
     """
+    col = np.minimum(np.floor((coords[..., 0] + HALF) * k).astype(np.int64), k - 1)
+    row = np.minimum(np.floor((HALF - coords[..., 1]) * k).astype(np.int64), k - 1)
+    return col, row
+
+
+def cell_index_array(t: Tiling, coords: np.ndarray) -> np.ndarray:
+    """Serpentine cell labels (1-based) for an (m, 2) array of coordinates,
+    with the cells of ``grid_col_row``."""
     coords = np.asarray(coords, dtype=np.float64)
     x = coords[..., 0]
     y = coords[..., 1]
     if np.any(x < -HALF) or np.any(x > HALF) or np.any(y < -HALF) or np.any(y > HALF):
         raise ValueError("point outside the unit square")
     k = t.cells_per_side
-    col = np.minimum(np.floor((x + HALF) * k).astype(np.int64), k - 1)
-    row = np.minimum(np.floor((HALF - y) * k).astype(np.int64), k - 1)
+    col, row = grid_col_row(coords, k)
     pos = np.where(col % 2 == 0, row, k - 1 - row)
     return (col * k + pos + 1).astype(np.int64)
 

@@ -19,10 +19,8 @@ import numpy as np
 from .geometry import build_tiling
 from .sampling import make_rng
 from .solvers import grid_tour, tsp_bruteforce, tsp_exact, two_opt
-from .weights import make_weight_function
+from .weights import BUILTIN_KINDS, ROOT2, make_weight_function
 
-ROOT2 = math.sqrt(2.0)
-KINDS = ("euclidean", "coordinate_metric", "radial_metric")
 ALPHAS = (0.5, 1.0, 1.5, 2.0)
 
 
@@ -53,7 +51,7 @@ def check_oracle_equivalence(max_n: int, instances: int, seed: int) -> PropertyR
     for case in range(instances):
         rng = make_rng(seed, (1, case))
         n = 5 + case % max(1, top - 4)
-        wf = make_weight_function(KINDS[case % 3])
+        wf = make_weight_function(BUILTIN_KINDS[case % 3])
         alpha = ALPHAS[case % 4]
         pts = _points(rng, n)
         a = tsp_exact(pts, wf, alpha)
@@ -73,7 +71,7 @@ def check_dominance(max_n: int, instances: int, seed: int) -> PropertyResult:
     for case in range(instances):
         rng = make_rng(seed, (2, case))
         n = 4 + case % max(1, top - 3)
-        wf = make_weight_function(KINDS[case % 3])
+        wf = make_weight_function(BUILTIN_KINDS[case % 3])
         alpha = ALPHAS[case % 4]
         pts = _points(rng, n)
         tiling = build_tiling(n, 1.0)
@@ -97,7 +95,7 @@ def check_subadditivity(max_n: int, instances: int, seed: int) -> PropertyResult
     maximal cross edges: TSP(xy) <= TSP(x) + TSP(y) + (c2 sqrt(2))^alpha."""
     for case in range(instances):
         rng = make_rng(seed, (3, case))
-        wf = make_weight_function(KINDS[case % 3])
+        wf = make_weight_function(BUILTIN_KINDS[case % 3])
         alpha = ALPHAS[case % 4]
         total = min(6 + case % 9, 14)
         j = int(rng.integers(2, total - 1))
@@ -121,7 +119,7 @@ def check_metric_monotonicity(max_n: int, instances: int, seed: int) -> Property
     top = min(max_n, 10)
     for case in range(instances):
         rng = make_rng(seed, (4, case))
-        wf = make_weight_function(KINDS[case % 3])
+        wf = make_weight_function(BUILTIN_KINDS[case % 3])
         alpha = (0.5, 0.75, 1.0)[case % 3]
         pts = _points(rng, top)
         prev = tsp_exact(pts[:2], wf, alpha).weight
@@ -140,7 +138,7 @@ def check_one_node_removal(max_n: int, instances: int, seed: int) -> PropertyRes
     top = min(max_n + 2, 12)
     for case in range(instances):
         rng = make_rng(seed, (5, case))
-        wf = make_weight_function(KINDS[case % 3])
+        wf = make_weight_function(BUILTIN_KINDS[case % 3])
         alpha = ALPHAS[case % 4]
         n = 5 + case % max(1, top - 4)
         pts = _points(rng, n)

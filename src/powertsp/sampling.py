@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import grid_col_row
+
 RNG_NAME = "philox"
 
 _INTEGRAL_TOL = 1e-12
@@ -42,9 +44,7 @@ class Density:
         coords = np.asarray(coords, dtype=np.float64)
         if self.grid is None:
             return np.ones(coords.shape[:-1], dtype=np.float64)
-        k = self.k
-        col = np.minimum(np.floor((coords[..., 0] + 0.5) * k).astype(np.int64), k - 1)
-        row = np.minimum(np.floor((0.5 - coords[..., 1]) * k).astype(np.int64), k - 1)
+        col, row = grid_col_row(coords, self.k)
         return self.grid[row, col]
 
     def integral(self) -> float:

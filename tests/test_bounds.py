@@ -199,6 +199,18 @@ def test_deviation_constants_delta_branch():
     assert c1a == pytest.approx(1.0 * (1.0 - math.exp(-0.5)) * math.exp(-16.0), rel=1e-12)
 
 
+def test_rate_objectives_are_the_deviation_constants_at_unit_weights():
+    # the beta objectives and deviation_constants share one home for each
+    # formula, so with c1 = c2 = 1 they agree bit for bit
+    for alpha in (0.25, 1.0, 1.75):
+        for eps1, eps2 in ((1.0, 1.0), (0.5, 1.5)):
+            mp = ModelParams(eps1=eps1, eps2=eps2, alpha=alpha)
+            for a in np.linspace(0.5, 3.0, 11):
+                c1_const, c2_const = deviation_constants(mp, float(a))
+                assert lower_rate_objective(float(a), alpha, eps1, eps2) == c1_const
+                assert upper_rate_objective(float(a), alpha, eps1, eps2) == c2_const
+
+
 # ---------------------------------------------------------------------------
 # beta bounds
 # ---------------------------------------------------------------------------

@@ -223,6 +223,31 @@ def test_bad_numbers_fail_at_the_boundary(argv, message):
     assert proc.stdout == ""
 
 
+def test_tour_rejects_non_finite_a(corners_file):
+    proc = run_cli_process("tour", "--points", corners_file, "--a", "nan")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "a must be positive and finite, got nan" in proc.stderr
+    assert proc.stdout == ""
+
+
+SMALL_CONFIG = {
+    "weight": {"kind": "euclidean"},
+    "alpha": 1.0,
+    "density": {"kind": "uniform", "eps1": 1.0, "eps2": 1.0},
+    "n_list": [8, 12],
+    "trials": 2,
+    "seed": 1,
+    "a": 1.0,
+}
+
+
+def simulate_with(tmp_path, cfg):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return run_cli_process("simulate", "scaling", "--config", str(cfg_path))
+
+
 @pytest.mark.parametrize("drop, patch, message", [
     ("density", {}, "missing key(s) density"),
     ("n_list", {}, "missing key(s) n_list"),
@@ -231,20 +256,37 @@ def test_bad_numbers_fail_at_the_boundary(argv, message):
     (None, {"density": {"kind": "uniform", "eps2": math.inf}}, "eps2 must be finite"),
 ])
 def test_bad_config_fails_at_the_boundary(tmp_path, drop, patch, message):
-    cfg = {
-        "weight": {"kind": "euclidean"},
-        "alpha": 1.0,
-        "density": {"kind": "uniform", "eps1": 1.0, "eps2": 1.0},
-        "n_list": [8, 12],
-        "trials": 2,
-        "seed": 1,
-        "a": 1.0,
-    }
+    cfg = dict(SMALL_CONFIG)
     cfg.pop(drop, None)
     cfg.update(patch)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    proc = run_cli_process("simulate", "scaling", "--config", str(cfg_path))
+    proc = simulate_with(tmp_path, cfg)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"trials": None}, "trials must be an integer, got None"),
+    ({"n_list": 5}, "n_list must be a list, got 5"),
+    ({"n_list": [8, "12"]}, "n_list[1] must be an integer, got '12'"),
+    ({"policy": None}, "policy must be an object, got None"),
+    ({"policy": {"exact_below": "3"}}, "policy.exact_below must be an integer, got '3'"),
+    ({"a": math.nan}, "tiling parameter a must be positive and finite, got nan"),
+    ({"slack": math.nan}, "slack must be non-negative and finite, got nan"),
+    ({"density": {"kind": "uniform", "eps1": None}}, "density eps1 must be a number, got None"),
+    ({"density": {"kind": "checkerboard", "k": [2]}}, "density k must be an integer, got [2]"),
+])
+def test_wrongly_typed_config_fails_at_the_boundary(tmp_path, patch, message):
+    proc = simulate_with(tmp_path, dict(SMALL_CONFIG, **patch))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+
+
+def test_config_must_be_an_object(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps([SMALL_CONFIG]))
+    proc = run_cli_process("simulate", "scaling", "--config", str(cfg_path), "--seed", "3")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "config must be an object" in proc.stderr

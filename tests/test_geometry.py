@@ -69,6 +69,9 @@ def test_build_tiling_rejects_oversized_a():
         build_tiling(4, -1.0)
     with pytest.raises(ValueError):
         build_tiling(0, 1.0)
+    for a in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="a must be positive and finite"):
+            build_tiling(16, a)
 
 
 def test_tiling_partitions_unit_side():
