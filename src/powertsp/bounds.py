@@ -82,8 +82,8 @@ def geometric_moment(p: float, alpha: float, tol: float = 1e-9) -> float:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
     q = 1.0 - p
     log_q = math.log(q)
     total = 0.0
@@ -149,11 +149,13 @@ def upper_rate_objective(a: float, alpha: float, eps1: float, eps2: float, tol: 
 
 
 def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Minimize f on [lo, hi]; returns (argmin, min)."""
+    """Minimize f on [lo, hi]; returns (argmin, min).  Stops at float
+    resolution when tol is finer than the spacing of floats near the
+    optimum."""
     x1 = hi - GOLDEN * (hi - lo)
     x2 = lo + GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
+    while hi - lo > tol and lo < x1 < x2 < hi:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - GOLDEN * (hi - lo)
@@ -209,6 +211,8 @@ def beta_bounds(
     """
     if not (0.0 < alpha < math.inf and 0.0 < a_max < math.inf):
         raise ValueError("alpha and a_max must be positive and finite")
+    if not refine_tol > 0.0:
+        raise ValueError(f"refine_tol must be positive, got {refine_tol}")
     ModelParams(eps1=eps1, eps2=eps2, alpha=alpha)  # reject bad bounds before scanning
     arg_lo, val_lo, sk_lo = _optimize(
         lambda a: lower_rate_objective(a, alpha, eps1, eps2),

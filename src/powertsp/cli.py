@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .bounds import beta_bounds, deviation_constants, ModelParams
+from .bounds import beta_bounds, deviation_constants, ModelParams, SeriesConvergenceError
 from .experiments import ExperimentConfig, ReportIOError, RUNNERS, report_to_json, write_report
 from .geometry import build_tiling
 from .invariants import run_invariant_suite
@@ -262,8 +262,11 @@ def main(argv: list[str] | None = None) -> int:
     except ReportIOError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except (ValueError, SeriesConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except ArithmeticError as exc:  # overflow or underflow on extreme but finite numbers
+        print(f"error: numbers out of range: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

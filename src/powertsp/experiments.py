@@ -240,6 +240,8 @@ REPORT_KINDS = {cls.kind: cls for cls in (ScalingReport, SandwichReport, Varianc
 
 
 def report_from_dict(d: dict):
+    if not isinstance(d, dict):
+        raise ValueError(f"a report must be a JSON object, got {type(d).__name__}")
     kind = d.get("kind")
     if kind not in REPORT_KINDS:
         raise ValueError(f"unknown report kind {kind!r}")

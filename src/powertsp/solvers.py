@@ -10,9 +10,10 @@ permutation scan shares no code with it.  Constructive solver: the
 cell-chained tour that strings nearest-neighbor paths through dense cells
 (>= 3 nodes) and sparse cells (1-2 nodes) of a tiling in serpentine label
 order and merges the two chains into a spanning cycle.  Plus 2-opt
-polishing, exact/heuristic minimum-weight spanning paths, the
-in/cross/out decomposition path, and the dense/sparse label-gap
-statistics.
+polishing, exact/heuristic minimum-weight spanning paths (each solved by
+the tour routines as a cycle through an extra node that costs 0 to reach
+from every node), the in/cross/out decomposition path, and the
+dense/sparse label-gap statistics.
 """
 
 from __future__ import annotations
@@ -158,27 +159,24 @@ def _popcount_layers(bits: int) -> tuple[np.ndarray, ...]:
     return layers
 
 
-def _completion_table(mat: np.ndarray, close_to_start: bool) -> np.ndarray:
-    """h[mask >> shift, j]: minimum cost of finishing a route that stands at
-    j with ``mask`` already visited — visiting every remaining node once,
-    plus the edge back to node 0 when ``close_to_start``.
+def _completion_table(mat: np.ndarray) -> np.ndarray:
+    """h[mask >> 1, j]: minimum cost of finishing a cycle that left node 0
+    and stands at j with ``mask`` (which holds node 0) already visited —
+    visiting every remaining node once, then the edge back to node 0.
 
     Rows are filled from the full mask down, one popcount layer at a time,
     with one vectorised minimum per target node over the whole layer (the
-    Held–Karp/Bellman recursion).  A cycle starts at node 0, so every mask
-    it reads contains bit 0 and its row is ``mask >> 1`` (shift 1): the
-    table holds 2^(n-1) rows, 8·n·2^(n-1) bytes.  A path keeps row = mask
-    (shift 0, 8·n·2^n bytes; row 0 is never read).  Entries for j outside
+    Held–Karp/Bellman recursion).  Every mask read holds bit 0, so the
+    table holds 2^(n-1) rows, 8·n·2^(n-1) bytes.  Entries for j outside
     mask are filled but never read.
     """
     n = mat.shape[0]
-    shift = 1 if close_to_start else 0
-    bits = n - shift
+    bits = n - 1
     h = np.full((1 << bits, n), np.inf)
-    h[-1, :] = mat[:, 0] if close_to_start else 0.0
+    h[-1, :] = mat[:, 0]
     layers = _popcount_layers(bits)
-    targets = [(t, 1 << (t - shift), mat[:, t]) for t in range(shift, n)]
-    for k in range(bits - 1, -shift, -1):  # down to the masks holding one node
+    targets = [(t, 1 << (t - 1), mat[:, t]) for t in range(1, n)]
+    for k in range(bits - 1, -1, -1):
         rows = layers[k]
         acc = np.full((rows.size, n), np.inf)
         for t, bit, col in targets:
@@ -188,21 +186,23 @@ def _completion_table(mat: np.ndarray, close_to_start: bool) -> np.ndarray:
     return h
 
 
-def _greedy_reconstruct(mat: np.ndarray, h: np.ndarray, start: int, shift: int) -> list[int]:
-    """Walk the completion table (row = mask >> shift) choosing the smallest
-    next node that still achieves the optimal remaining cost (up to
-    float-tie tolerance)."""
+def _greedy_reconstruct(mat: np.ndarray, h: np.ndarray, prefix: list[int]) -> list[int]:
+    """Extend ``prefix`` (which starts at node 0) to a full cycle order,
+    walking the completion table and choosing the smallest next node that
+    still achieves the optimal remaining cost (up to float-tie tolerance,
+    taken from the prefix's own table entry)."""
     n = mat.shape[0]
     full = (1 << n) - 1
-    tol = 1e-12 * (1.0 + abs(float(h[(1 << start) >> shift, start])))
-    mask, j = 1 << start, start
-    order = [start]
+    order = list(prefix)
+    mask = sum(1 << v for v in order)
+    j = order[-1]
+    tol = 1e-12 * (1.0 + abs(float(h[mask >> 1, j])))
     while mask != full:
-        target = h[mask >> shift, j]
+        target = h[mask >> 1, j]
         for t in range(n):
             if (mask >> t) & 1:
                 continue
-            if mat[j, t] + h[(mask | (1 << t)) >> shift, t] <= target + tol:
+            if mat[j, t] + h[(mask | (1 << t)) >> 1, t] <= target + tol:
                 order.append(t)
                 mask |= 1 << t
                 j = t
@@ -222,57 +222,44 @@ def tsp_exact(points, wf: WeightFunction, alpha: float) -> Tour:
     mat = weight_matrix(wf, alpha, pts)
     if n == 2:
         return Tour(order=(0, 1), weight=tour_weight(pts, (0, 1), wf, alpha))
-    h = _completion_table(mat, close_to_start=True)
-    order = canonical_cycle(_greedy_reconstruct(mat, h, start=0, shift=1))
+    order = canonical_cycle(_greedy_reconstruct(mat, _completion_table(mat), [0]))
     return Tour(order=order, weight=tour_weight(pts, order, wf, alpha))
 
 
-def _nearest_neighbor_order(mat_row, candidates: list[int]) -> int:
-    """Index (into candidates) of the cheapest candidate; first wins ties."""
-    best, best_w = 0, math.inf
-    for idx, c in enumerate(candidates):
-        w = mat_row[c]
-        if w < best_w:
-            best, best_w = idx, w
-    return best
-
-
-def _path_two_opt(mat: np.ndarray, order: list[int], fixed_start: bool) -> list[int]:
-    """2-opt on an open path: segment reversals, endpoints free unless the
-    start is pinned."""
-    n = len(order)
-    o = np.asarray(order)
-    tol = 1e-12 * (1.0 + float(np.sum(mat[o[:-1], o[1:]])))
-    for _ in range(DEFAULT_TWO_OPT_PASSES):
+def _two_opt_moves(mat: np.ndarray, o: np.ndarray, tol: float, max_passes: int,
+                   pinned: int = 0) -> None:
+    """Segment reversals on the cycle ``o`` (in place) until no move gains
+    more than ``tol`` or the pass budget runs out.  ``o[0]`` never moves;
+    ``pinned = 1`` also keeps ``o[1]``, and with it the edge o[0]–o[1]."""
+    n = o.size
+    for _ in range(max_passes):
         improved = False
-        i_lo = 1 if fixed_start else 0
-        for i in range(i_lo, n - 1):
-            js = np.arange(i + 1, n - 1)
-            if js.size:
-                delta = mat[o[i], o[js + 1]] - mat[o[js], o[js + 1]]
-                if i >= 1:
-                    delta = delta + mat[o[i - 1], o[js]] - mat[o[i - 1], o[i]]
-                k = int(np.argmin(delta))
-                if delta[k] < -tol:
-                    j = int(js[k])
-                    o[i : j + 1] = o[i : j + 1][::-1]
-                    improved = True
-                    continue
-            if i >= 1:  # reverse the suffix [i..n-1], moving the right endpoint
-                d_suffix = mat[o[i - 1], o[n - 1]] - mat[o[i - 1], o[i]]
-                if d_suffix < -tol:
-                    o[i:] = o[i:][::-1]
-                    improved = True
+        for i in range(pinned, n - 2):
+            a, b = o[i], o[i + 1]
+            j_hi = n - 1 if i > 0 else n - 2
+            js = np.arange(i + 2, j_hi + 1)
+            if not js.size:
+                continue
+            c = o[js]
+            d = o[(js + 1) % n]
+            delta = mat[a, c] + mat[b, d] - mat[a, b] - mat[c, d]
+            k = int(np.argmin(delta))
+            if delta[k] < -tol:
+                j = int(js[k])
+                o[i + 1 : j + 1] = o[i + 1 : j + 1][::-1]
+                improved = True
         if not improved:
             break
-    return [int(v) for v in o]
 
 
 def min_weight_spanning_path(
     points, wf: WeightFunction, alpha: float, required_endpoint: int | None = None
 ) -> SpanningPath:
     """Minimum-weight spanning path, exact (subset DP) up to 16 nodes and
-    nearest-neighbor plus 2-opt beyond; honors a required endpoint."""
+    nearest-neighbor plus 2-opt beyond; honors a required endpoint.  The
+    path is a cycle through an anchor, node 0, that costs 0 to reach from
+    every node (node v becomes v + 1), with the anchor removed; a required
+    endpoint is the anchor's fixed first neighbour."""
     pts = as_coords(points)
     n = pts.shape[0]
     if n < 1:
@@ -282,26 +269,19 @@ def min_weight_spanning_path(
     if n == 1:
         return SpanningPath(order=(0,), weight=0.0, endpoints=(0, 0), exact=True)
     mat = weight_matrix(wf, alpha, pts)
-    if n <= EXACT_PATH_MAX_N:
-        h = _completion_table(mat, close_to_start=False)
-        if required_endpoint is not None:
-            start = required_endpoint
-        else:
-            starts = np.array([h[1 << s, s] for s in range(n)])
-            best = float(starts.min())
-            tol = 1e-12 * (1.0 + abs(best))
-            start = int(np.flatnonzero(starts <= best + tol)[0])
-        order = _greedy_reconstruct(mat, h, start=start, shift=0)
-        exact = True
+    anchored = np.pad(mat, ((1, 0), (1, 0)))
+    start = 0 if required_endpoint is None else required_endpoint
+    prefix = [0] if required_endpoint is None else [0, start + 1]
+    exact = n <= EXACT_PATH_MAX_N
+    if exact:
+        cycle = _greedy_reconstruct(anchored, _completion_table(anchored), prefix)
     else:
-        start = required_endpoint if required_endpoint is not None else 0
-        remaining = [i for i in range(n) if i != start]
-        order = [start]
-        while remaining:
-            k = _nearest_neighbor_order(mat[order[-1]], remaining)
-            order.append(remaining.pop(k))
-        order = _path_two_opt(mat, order, fixed_start=required_endpoint is not None)
-        exact = False
+        walk = _nn_within(pts, wf, alpha, list(range(n)), start)
+        o = np.array([0] + [v + 1 for v in walk])
+        tol = 1e-12 * (1.0 + float(np.sum(anchored[o, np.roll(o, -1)])))
+        _two_opt_moves(anchored, o, tol, DEFAULT_TWO_OPT_PASSES, pinned=len(prefix) - 1)
+        cycle = o.tolist()
+    order = [v - 1 for v in cycle[1:]]
     if required_endpoint is None and order[0] > order[-1]:
         order = order[::-1]
     weight = float(np.sum(mat[order[:-1], order[1:]]))
@@ -319,27 +299,9 @@ def two_opt(points, tour: Tour, wf: WeightFunction, alpha: float,
     if n < 4:
         order = canonical_cycle(order)
         return Tour(order=order, weight=tour_weight(pts, order, wf, alpha))
-    mat = weight_matrix(wf, alpha, pts)
     o = np.asarray(order)
     tol = 1e-12 * (1.0 + tour_weight(pts, order, wf, alpha))
-    for _ in range(max_passes):
-        improved = False
-        for i in range(n - 2):
-            a, b = o[i], o[i + 1]
-            j_hi = n - 1 if i > 0 else n - 2
-            js = np.arange(i + 2, j_hi + 1)
-            if not js.size:
-                continue
-            c = o[js]
-            d = o[(js + 1) % n]
-            delta = mat[a, c] + mat[b, d] - mat[a, b] - mat[c, d]
-            k = int(np.argmin(delta))
-            if delta[k] < -tol:
-                j = int(js[k])
-                o[i + 1 : j + 1] = o[i + 1 : j + 1][::-1]
-                improved = True
-        if not improved:
-            break
+    _two_opt_moves(weight_matrix(wf, alpha, pts), o, tol, max_passes)
     order = canonical_cycle(int(v) for v in o)
     return Tour(order=order, weight=tour_weight(pts, order, wf, alpha))
 

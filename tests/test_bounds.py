@@ -135,6 +135,9 @@ def test_geometric_moment_validation_and_cap():
         geometric_moment(1.0, 1.0)
     with pytest.raises(ValueError):
         geometric_moment(0.5, -1.0)
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            geometric_moment(0.5, 1.0, tol=tol)
     with pytest.raises(SeriesConvergenceError):
         geometric_moment(1e-9, 1.0, tol=1e-12)
 
@@ -260,6 +263,18 @@ def test_beta_bounds_validation():
         beta_bounds(1.0, 1.0, 1.0, a_max=-1.0)
     with pytest.raises(ValueError):
         beta_bounds(1.0, 1.0, 1.0, grid_points=2)
+    for refine_tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="refine_tol must be positive"):
+            beta_bounds(1.0, 1.0, 1.0, grid_points=8, refine_tol=refine_tol)
+
+
+def test_beta_bounds_refinement_stops_at_float_resolution():
+    # a tolerance finer than the float spacing near the optimum once made the
+    # golden-section search loop forever on an interval that cannot shrink
+    fine = beta_bounds(1.0, 1.0, 1.0, grid_points=16, refine_tol=1e-300)
+    default = beta_bounds(1.0, 1.0, 1.0, grid_points=16)
+    assert fine[0].value == pytest.approx(default[0].value, rel=1e-9)
+    assert fine[1].value == pytest.approx(default[1].value, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

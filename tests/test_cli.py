@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -5,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import powertsp
 from powertsp.cli import main
@@ -214,6 +218,9 @@ def run_cli_process(*argv):
     (["beta", "--curve", "--alpha-step", "0"], "--alpha-step must be positive"),
     (["beta", "--curve", "--alpha-step", "-0.25"], "--alpha-step must be positive"),
     (["beta", "--curve", "--alpha-min", "2", "--alpha-max", "1"], "exceeds --alpha-max"),
+    (["beta", "--alpha", "1", "--refine-tol", "0"], "refine_tol must be positive"),
+    (["bounds", "--alpha", "0.25", "--a", "5"], "did not reach tol=1e-09"),
+    (["bounds", "--alpha", "2", "--c2", "1e300"], "numbers out of range"),
 ])
 def test_bad_numbers_fail_at_the_boundary(argv, message):
     proc = run_cli_process(*argv)
@@ -221,6 +228,51 @@ def test_bad_numbers_fail_at_the_boundary(argv, message):
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
     assert proc.stdout == ""
+
+
+# edge values and ordinary ones, as well as arbitrary floats
+any_float = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 1e300, 0.25, 1.0, 5.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+def number_flags(**values):
+    # --flag=value, so argparse reads "-1e-05" as a value and not as a flag
+    return [f"--{name.replace('_', '-')}={value!r}" for name, value in values.items()]
+
+
+def quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=any_float, eps1=any_float, eps2=any_float, c1=any_float, c2=any_float,
+       a=any_float, tol=any_float)
+def test_bounds_numbers_never_escape(alpha, eps1, eps2, c1, c2, a, tol):
+    argv = ["bounds", *number_flags(alpha=alpha, eps1=eps1, eps2=eps2, c1=c1, c2=c2,
+                                    a=a, tol=tol)]
+    assert quiet_main(argv) in (0, 1)
+
+
+# the grid size and the curve's point count are kept small: they set how much
+# work is asked for, not whether the numbers are valid
+@settings(max_examples=40, deadline=None)
+@given(alpha=any_float, eps1=any_float, eps2=any_float, a_max=any_float,
+       grid_points=st.integers(-2, 6), refine_tol=any_float,
+       curve=st.booleans(), alpha_min=any_float, alpha_max=any_float, alpha_step=any_float)
+def test_beta_numbers_never_escape(alpha, eps1, eps2, a_max, grid_points, refine_tol,
+                                   curve, alpha_min, alpha_max, alpha_step):
+    argv = ["beta", *number_flags(eps1=eps1, eps2=eps2, a_max=a_max, grid_points=grid_points,
+                                  refine_tol=refine_tol)]
+    if curve:
+        assume(not (alpha_step and (alpha_max - alpha_min) / alpha_step > 3))
+        argv += ["--curve", *number_flags(alpha_min=alpha_min, alpha_max=alpha_max,
+                                          alpha_step=alpha_step)]
+    else:
+        argv += number_flags(alpha=alpha)
+    assert quiet_main(argv) in (0, 1)
 
 
 def test_tour_rejects_non_finite_a(corners_file):

@@ -205,6 +205,16 @@ def test_report_from_dict_rejects_unknown_kind():
         report_from_dict({"kind": "mystery"})
 
 
+@pytest.mark.parametrize("doc", [[1], "report", 3, None])
+def test_report_from_dict_rejects_a_non_object(doc, tmp_path):
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        report_from_dict(doc)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        read_report(str(path))
+
+
 def test_json_and_csv_deterministic_reruns():
     a = report_to_json(run_convergence(make_cfg(trials=5)))
     b = report_to_json(run_convergence(make_cfg(trials=5)))

@@ -10,6 +10,7 @@ from powertsp.sampling import build_density, sample_binomial
 from powertsp.solvers import (
     Tour,
     _completion_table,
+    _nn_within,
     approx_tsp_path,
     canonical_cycle,
     gap_statistics,
@@ -253,11 +254,14 @@ def test_completion_table_bit_identical_to_reference(n):
         rng = np.random.default_rng(2000 * n + case)
         pts = LATTICE[rng.choice(len(LATTICE), size=n, replace=False)]
         mat = weight_matrix(make_weight_function(kind), alpha, pts)
-        cycle = _completion_table(mat, close_to_start=True)
+        cycle = _completion_table(mat)
         assert cycle.shape == (1 << (n - 1), n)
         assert np.array_equal(cycle, reference_table(mat, close_to_start=True)[1::2])
-        path = _completion_table(mat, close_to_start=False)
-        assert np.array_equal(path, reference_table(mat, close_to_start=False))
+        # a path is the cycle through a zero-weight anchor (node 0, node v at
+        # v + 1): path row mask, column j is anchored row mask, column j + 1;
+        # row 0, the empty mask, is never read by a path
+        anchored = _completion_table(np.pad(mat, ((1, 0), (1, 0))))
+        assert np.array_equal(anchored[1:, 1:], reference_table(mat, close_to_start=False)[1:])
 
 
 @pytest.mark.parametrize("n", range(2, 17))
@@ -421,12 +425,25 @@ def test_path_below_cycle_weight():
 
 
 def test_path_heuristic_above_exact_cutoff():
-    pts = random_points(20, seed=11)
-    p = min_weight_spanning_path(pts, EU, 1.0)
-    assert not p.exact
-    assert sorted(p.order) == list(range(20))
-    r = min_weight_spanning_path(pts, EU, 1.0, required_endpoint=5)
-    assert r.order[0] == 5 and not r.exact
+    # nearest-neighbor walk from the start node, then 2-opt: a permutation
+    # that honours the endpoint and is no heavier than the walk
+    for kind in KINDS:
+        wf = make_weight_function(kind)
+        for n in (17, 20, 40):
+            pts = random_points(n, seed=11 + n)
+            mat = weight_matrix(wf, 1.0, pts)
+            for required in (None, 0, 5, n - 1):
+                p = min_weight_spanning_path(pts, wf, 1.0, required_endpoint=required)
+                assert not p.exact
+                assert sorted(p.order) == list(range(n))
+                assert p.endpoints == (p.order[0], p.order[-1])
+                if required is None:
+                    assert p.order[0] < p.order[-1]
+                else:
+                    assert p.order[0] == required
+                walk = _nn_within(pts, wf, 1.0, list(range(n)), required or 0)
+                assert p.weight == float(np.sum(mat[list(p.order[:-1]), list(p.order[1:])]))
+                assert p.weight <= float(np.sum(mat[walk[:-1], walk[1:]])) * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,19 @@ def test_verify_equivalence_flags_wrong_constant():
     assert len(witness["points"]) == 2
 
 
+def test_verify_equivalence_flags_asymmetry():
+    # h = d * (1 + 0.2 [x_u > x_v]) meets c1 = 1, c2 = 1.2 but h(u, v) != h(v, u)
+    from powertsp.weights import _euclid
+
+    def lopsided(u, v):
+        return _euclid(u, v) * (1.0 + 0.2 * (u[..., 0] > v[..., 0]))
+
+    wf = make_weight_function("custom", func=lopsided, c1=1.0, c2=1.2)
+    rep = verify_equivalence(wf, 10_000, seed=11)
+    assert not rep.passed
+    assert {v["check"] for v in rep.violations} == {"symmetry"}
+
+
 def test_verify_equivalence_validates_sample_count():
     with pytest.raises(ValueError):
         verify_equivalence(make_weight_function("euclidean"), 0)
