@@ -1,7 +1,8 @@
 """Golden-bytes fixtures: the JSON and CSV report of one small config per
-experiment kind, and the stdout of ``beta --curve``, frozen so that any
-refactor of the experiment pipeline, the report codec or the bracket
-formulas has to reproduce them byte for byte.
+experiment kind, and the stdout of ``beta --curve`` and the ``verify`` lines of an invariant suite run
+against a sabotaged exact solver, frozen so that any refactor of the
+experiment pipeline, the report codec, the bracket formulas or the invariant
+suite has to reproduce them byte for byte.
 
 When a change is meant to move these numbers, regenerate the fixtures with
 ``PYTHONPATH=src python tests/test_golden.py`` and say why in CHANGES.md.
@@ -12,9 +13,11 @@ import io
 import json
 import os
 import sys
+from unittest import mock
 
 import pytest
 
+from powertsp import invariants
 from powertsp.cli import main
 from powertsp.experiments import (
     RUNNERS,
@@ -23,6 +26,7 @@ from powertsp.experiments import (
     report_to_csv,
     report_to_json,
 )
+from powertsp.solvers import Tour
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 KINDS = ("scaling", "sandwich", "variance", "convergence", "uniform_ratio")
@@ -31,6 +35,7 @@ BETA_CURVES = {
     "beta_curve_eps1_0.5_eps2_1.5.csv": ["--eps1", "0.5", "--eps2", "1.5"],
 }
 BETA_GRID = ["--grid-points", "128"]
+SABOTAGED = "verify_sabotaged.txt"
 
 
 def _golden(name: str) -> str:
@@ -47,6 +52,25 @@ def _beta_curve(flags: list[str]) -> str:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         assert main(["beta", "--curve", *flags, *BETA_GRID]) == 0
     return out.getvalue()
+
+
+def _sabotaged_verify() -> str:
+    """``verify`` lines of a suite whose exact solver, on about 40% of its
+    calls, returns a reversed tour with a skewed weight, so that every
+    property fails at some case."""
+    real_tsp_exact = invariants.tsp_exact
+
+    def skewed(pts, wf, alpha):
+        t = real_tsp_exact(pts, wf, alpha)
+        f = (1e4 * float(abs(pts).sum())) % 1.0
+        if f < 0.6:
+            return t
+        scale = 0.5 if wf.kind == "coordinate_metric" else 0.2 + 3.0 * f
+        return Tour(order=(0,) + t.order[:0:-1], weight=t.weight * scale)
+
+    with mock.patch.object(invariants, "tsp_exact", skewed):
+        results = invariants.run_invariant_suite(9, 12, 3)
+    return "".join(r.line() + "\n" for r in results)
 
 
 def _read(name: str) -> str:
@@ -74,6 +98,10 @@ def test_beta_curve_matches_golden(name):
     assert _beta_curve(BETA_CURVES[name]) == _read(name)
 
 
+def test_sabotaged_verify_matches_golden():
+    assert _sabotaged_verify() == _read(SABOTAGED)
+
+
 def regenerate() -> None:
     for kind in KINDS:
         report = _report(kind)
@@ -83,6 +111,8 @@ def regenerate() -> None:
     for name, flags in BETA_CURVES.items():
         with open(_golden(name), "w", newline="") as fh:
             fh.write(_beta_curve(flags))
+    with open(_golden(SABOTAGED), "w", newline="") as fh:
+        fh.write(_sabotaged_verify())
 
 
 if __name__ == "__main__":
