@@ -124,6 +124,10 @@ def _c2_formula(a: float, alpha: float, delta: float, c2: float, tol: float) -> 
     """C2(A) = (2 c2 A)^alpha * (1 + (E T~^alpha + E T^^alpha) / A^2) with T~
     geometric on the dense-cell probability p and T^ geometric on 1 - p."""
     p = p_dense(a, delta)
+    if not 0.0 < p < 1.0:  # rounds to 0 or 1, or NaN once delta * A^2 overflows
+        raise SeriesConvergenceError(
+            f"the moment series of C2 cannot converge at A={a}, delta={delta}: "
+            f"the dense-cell probability rounds to {p}")
     moments = geometric_moment(p, alpha, tol) + geometric_moment(1.0 - p, alpha, tol)
     return (2.0 * c2 * a) ** alpha * (1.0 + moments / (a * a))
 

@@ -1,7 +1,8 @@
 """Edge weight functions equivalent to Euclidean distance.
 
-A weight function h assigns every pair of unit-square points a symmetric
-cost squeezed between c1*d and c2*d, d the Euclidean distance.  Edge
+A weight function h assigns every pair of unit-square points a cost squeezed
+between c1*d and c2*d, d the Euclidean distance, and must be symmetric bit
+for bit: pairs are evaluated in the caller's order and never reordered.  Edge
 weights raise h to a power alpha > 0.  Three built-in kinds:
 
   euclidean          h = d                                   c1 = c2 = 1
@@ -10,8 +11,9 @@ weights raise h to a power alpha > 0.  Three built-in kinds:
 
 The radial kind scales linearly (h(au,av) = a*h(u,v)) and grows at most by
 h0 = 3/2 under a common shift of both endpoints; the coordinate kind does
-neither.  Custom weight functions declare their own constants and are vetted
-numerically by verify_equivalence before use.
+neither.  All three are bit-symmetric since fl(a - b) = -fl(b - a).  Custom
+weight functions declare their own constants and are vetted numerically, bit
+symmetry included, by verify_equivalence before use.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ def check_alpha(alpha: float) -> float:
 class WeightFunction:
     """A pairwise cost h with its equivalence constants.
 
-    ``func`` maps two (..., 2) coordinate arrays to elementwise costs.
+    ``func`` maps two (..., 2) coordinate arrays to elementwise costs and
+    must be symmetric bit for bit, which ``verify_equivalence`` checks.
     ``h0`` is the shift-growth constant (None when unknown);
     ``scale_invariant`` records whether h(au, av) = a*h(u, v).
     """
@@ -53,23 +56,14 @@ class WeightFunction:
     func: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False, default=None)
 
     def h(self, u, v) -> float:
-        """Cost of the single pair (u, v), evaluated on the canonically
-        ordered pair so that h(u, v) and h(v, u) are bit-identical."""
-        uu = as_coords([u])[0]
-        vv = as_coords([v])[0]
-        if (vv[0], vv[1]) < (uu[0], uu[1]):
-            uu, vv = vv, uu
-        return float(self.func(uu, vv))
+        """Cost of the single pair (u, v), through ``h_pairs``."""
+        return float(self.h_pairs(as_coords([u])[0], as_coords([v])[0]))
 
     def h_pairs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Vectorized costs for matched rows of two (m, 2) arrays, with the
-        same canonical-ordering guarantee as ``h``."""
-        u = np.asarray(u, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        swap = (v[..., 0] < u[..., 0]) | ((v[..., 0] == u[..., 0]) & (v[..., 1] < u[..., 1]))
-        lo = np.where(swap[..., None], v, u)
-        hi = np.where(swap[..., None], u, v)
-        return self.func(lo, hi)
+        """Vectorized costs for matched rows of two (m, 2) arrays, in the
+        caller's order: the one call site of ``func``, which must therefore
+        be symmetric bit for bit (``verify_equivalence`` checks it)."""
+        return self.func(np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64))
 
 
 def _euclid(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -93,9 +87,10 @@ def _radial(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def make_weight_function(kind: str, **params) -> WeightFunction:
     """Build one of the named weight functions, or wrap a custom one.
 
-    Custom functions must pass func (vectorized on (..., 2) arrays), c1, c2
-    and may declare h0, is_metric and scale_invariant; the declared constants
-    are the caller's claim and should be vetted with verify_equivalence.
+    Custom functions must pass func (vectorized on (..., 2) arrays and
+    symmetric bit for bit), c1, c2 and may declare h0, is_metric and
+    scale_invariant; the declared constants and the symmetry are the caller's
+    claim and should be vetted with verify_equivalence.
     """
     if kind == "euclidean":
         return WeightFunction(kind, c1=1.0, c2=1.0, is_metric=True, h0=1.0,
@@ -149,7 +144,7 @@ def weight_matrix(wf: WeightFunction, alpha: float, points) -> np.ndarray:
     pts = as_coords(points)
     n = pts.shape[0]
     iu, ju = np.triu_indices(n, k=1)
-    w = wf.func(pts[iu], pts[ju]) ** alpha
+    w = wf.h_pairs(pts[iu], pts[ju]) ** alpha
     mat = np.zeros((n, n), dtype=np.float64)
     mat[iu, ju] = w
     mat[ju, iu] = w
@@ -172,45 +167,33 @@ class EquivalenceReport:
 
 def verify_equivalence(wf: WeightFunction, sample_count: int, seed: int = 0) -> EquivalenceReport:
     """Monte Carlo check of the declared constants: c1*d <= h <= c2*d,
-    symmetry, and (for metrics) the triangle inequality on sampled triples.
+    bit-exact symmetry, and (for metrics) the triangle inequality on sampled
+    triples.
 
-    Violations are reported with the witnessing points; up to 20 are kept.
+    Violations are reported with the witnessing points; up to 5 are kept
+    per check.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0x7E57))))
     tol = 1e-9
-    violations: list[dict] = []
-
-    def record(kind_, pts, lhs, rhs):
-        if len(violations) < 20:
-            violations.append({"check": kind_, "points": [list(p) for p in pts],
-                               "lhs": float(lhs), "rhs": float(rhs)})
-
     u = rng.uniform(-0.5, 0.5, size=(sample_count, 2))
     v = rng.uniform(-0.5, 0.5, size=(sample_count, 2))
     d = _euclid(u, v)
     hv = wf.h_pairs(u, v)
-
-    bad = hv < wf.c1 * d - tol
-    for i in np.flatnonzero(bad)[:5]:
-        record("lower_equivalence", (u[i], v[i]), hv[i], wf.c1 * d[i])
-    bad = hv > wf.c2 * d + tol
-    for i in np.flatnonzero(bad)[:5]:
-        record("upper_equivalence", (u[i], v[i]), hv[i], wf.c2 * d[i])
-    # h_pairs orders each pair canonically, so symmetry is checked on func
-    forward, backward = wf.func(u, v), wf.func(v, u)
-    bad = forward != backward
-    for i in np.flatnonzero(bad)[:5]:
-        record("symmetry", (u[i], v[i]), forward[i], backward[i])
-
+    backward = wf.h_pairs(v, u)
+    # (check, failing mask, witness points, lhs, rhs), one entry per sample
+    checks = [("lower_equivalence", hv < wf.c1 * d - tol, (u, v), hv, wf.c1 * d),
+              ("upper_equivalence", hv > wf.c2 * d + tol, (u, v), hv, wf.c2 * d),
+              ("symmetry", hv != backward, (u, v), hv, backward)]
     if wf.is_metric:
         w = rng.uniform(-0.5, 0.5, size=(sample_count, 2))
-        lhs = wf.h_pairs(u, w)
-        rhs = wf.h_pairs(u, v) + wf.h_pairs(v, w)
-        bad = lhs > rhs + tol
-        for i in np.flatnonzero(bad)[:5]:
-            record("triangle", (u[i], v[i], w[i]), lhs[i], rhs[i])
+        direct = wf.h_pairs(u, w)
+        detour = hv + wf.h_pairs(v, w)
+        checks.append(("triangle", direct > detour + tol, (u, v, w), direct, detour))
 
+    violations = [{"check": check, "points": [list(p[i]) for p in pts],
+                   "lhs": float(lhs[i]), "rhs": float(rhs[i])}
+                  for check, bad, pts, lhs, rhs in checks for i in np.flatnonzero(bad)[:5]]
     return EquivalenceReport(kind=wf.kind, samples=sample_count,
                              passed=not violations, violations=violations)

@@ -256,6 +256,16 @@ def test_beta_low_below_beta_up():
         assert 0.0 < low.value < up.value < math.inf
 
 
+def test_beta_bounds_skip_a_where_the_dense_probability_rounds_to_one():
+    # past A ~ 6.5 (delta = 1) p_dense rounds to 1 and C2's series cannot
+    # converge; the scan skips those points and keeps the optimum near 1.67
+    low, up = beta_bounds(1.0, 1.0, 1.0, a_max=10.0)
+    assert up.skipped_points > 0
+    assert up.arg_a == pytest.approx(1.67, abs=0.05)
+    assert up.value == pytest.approx(8.15, abs=0.05)
+    assert low.value == pytest.approx(0.147, abs=0.002)
+
+
 def test_beta_bounds_validation():
     with pytest.raises(ValueError):
         beta_bounds(0.0, 1.0, 1.0)

@@ -221,6 +221,8 @@ def run_cli_process(*argv):
     (["beta", "--alpha", "1", "--refine-tol", "0"], "refine_tol must be positive"),
     (["bounds", "--alpha", "0.25", "--a", "5"], "did not reach tol=1e-09"),
     (["bounds", "--alpha", "2", "--c2", "1e300"], "numbers out of range"),
+    (["bounds", "--alpha", "1", "--a", "30"], "cannot converge at A=30.0, delta=1.0"),
+    (["bounds", "--alpha", "1", "--a", "1e200"], "cannot converge at A=1e+200, delta=1.0"),
 ])
 def test_bad_numbers_fail_at_the_boundary(argv, message):
     proc = run_cli_process(*argv)

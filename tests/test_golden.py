@@ -1,8 +1,8 @@
 """Golden-bytes fixtures: the JSON and CSV report of one small config per
-experiment kind, and the stdout of ``beta --curve`` and the ``verify`` lines of an invariant suite run
-against a sabotaged exact solver, frozen so that any refactor of the
-experiment pipeline, the report codec, the bracket formulas or the invariant
-suite has to reproduce them byte for byte.
+experiment kind, the stdout of ``beta --curve``, and the ``verify`` lines of
+an invariant suite run against a sabotaged exact solver, frozen so that any
+refactor of the experiment pipeline, the report codec, the bracket formulas
+or the invariant suite has to reproduce them byte for byte.
 
 When a change is meant to move these numbers, regenerate the fixtures with
 ``PYTHONPATH=src python tests/test_golden.py`` and say why in CHANGES.md.

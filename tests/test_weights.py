@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powertsp.weights import (
+    _euclid,
     edge_weight,
+    edge_weight_pairs,
     make_weight_function,
     verify_equivalence,
     weight_matrix,
@@ -104,15 +106,25 @@ def test_radial_translation_b2(x1, y1, x2, y2, bx, by):
     assert shifted <= 1.5 * rm.h((x1, y1), (x2, y2)) + 1e-12
 
 
+def _stretched(u, v):
+    # symmetric bit for bit: the product u_x * v_x commutes exactly
+    return _euclid(u, v) * (1.0 + 0.2 * np.abs(u[..., 0] * v[..., 0]))
+
+
 def test_weight_matrix_symmetric_zero_diagonal():
     rng = np.random.default_rng(3)
     pts = rng.uniform(-0.5, 0.5, size=(7, 2))
-    for kind in ("euclidean", "coordinate_metric", "radial_metric"):
-        wf = make_weight_function(kind)
+    weights = [make_weight_function(kind)
+               for kind in ("euclidean", "coordinate_metric", "radial_metric")]
+    weights.append(make_weight_function("custom", func=_stretched, c1=1.0, c2=1.2))
+    i, j = np.nonzero(~np.eye(7, dtype=bool))
+    for wf in weights:
         mat = weight_matrix(wf, 0.7, pts)
         assert np.array_equal(mat, mat.T)
         assert np.all(np.diag(mat) == 0.0)
-        assert mat[0, 1] == pytest.approx(edge_weight(wf, 0.7, pts[0], pts[1]))
+        # every off-diagonal entry is the pair weight, bit for bit, in both orders
+        assert np.array_equal(mat[i, j], edge_weight_pairs(wf, 0.7, pts[i], pts[j]))
+        assert np.array_equal(mat[i, j], edge_weight_pairs(wf, 0.7, pts[j], pts[i]))
 
 
 def test_verify_equivalence_builtins_pass():
