@@ -1,8 +1,11 @@
+import csv
 import math
+import os
 
 import numpy as np
 import pytest
 
+from powertsp import bounds
 from powertsp.bounds import (
     BetaResult,
     ModelParams,
@@ -50,6 +53,35 @@ def telescoping_oracle(p, r, terms=200_000):
 
 def poisson_ge3_oracle(lam):
     return 1.0 - math.exp(-lam) * (1.0 + lam + lam * lam / 2.0)
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def mpmath_table(name):
+    """Rows of a reference table written by golden/make_moment_tables.py
+    (mpmath at 50 digits), every field as a float."""
+    with open(os.path.join(GOLDEN, name)) as f:
+        return [{k: float(v) for k, v in row.items()} for row in csv.DictReader(f)]
+
+
+MOMENT_ALPHAS = (0.25, 0.5, 1.0, 1.7, 2.0, 3.5)
+
+
+def series_switch_point(alpha, tol):
+    """The p below which the first series chunk no longer certifies its
+    tail, by bisection on the certificate geometric_moment uses."""
+    lo, hi = 1e-12, 0.5  # expansion at lo, series at hi
+    assert not bounds._series_certifies(lo, alpha, tol) and bounds._series_certifies(hi, alpha, tol)
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if bounds._series_certifies(mid, alpha, tol):
+            hi = mid
+        else:
+            lo = mid
+        if hi / lo < 1.0 + 1e-12:
+            break
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +158,21 @@ def test_geometric_moment_monotonicity():
     for p in ps:
         vals = [geometric_moment(p, a) for a in alphas]
         assert all(x < y for x, y in zip(vals, vals[1:]))
+    # just below the switch point the Lindelöf expansion serves, just above
+    # it the series does; both agree within tol and the moment keeps falling
+    # in p across the switch.  The series takes log(1 - p), whose rounding
+    # costs it up to ~1e-14 relative near p = 0.01, hence the 1e-13 slack
+    # for values far above 1
+    tol = 1e-9
+    for alpha in MOMENT_ALPHAS:
+        p_star = series_switch_point(alpha, tol)
+        p_lo, p_hi = p_star * (1.0 - 1e-6), p_star * (1.0 + 1e-6)
+        assert not bounds._series_certifies(p_lo, alpha, tol)
+        assert bounds._series_certifies(p_hi, alpha, tol)
+        below, above = geometric_moment(p_lo, alpha, tol), geometric_moment(p_hi, alpha, tol)
+        assert abs(above - bounds._lindelof_moment(p_hi, alpha, tol)) <= tol + 1e-13 * above
+        assert abs(below - moment_series_oracle(p_lo, alpha)) <= tol + 1e-13 * below
+        assert below > above
 
 
 def test_geometric_moment_validation_and_cap():
@@ -138,8 +185,21 @@ def test_geometric_moment_validation_and_cap():
     for tol in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="tol must be positive"):
             geometric_moment(0.5, 1.0, tol=tol)
-    with pytest.raises(SeriesConvergenceError):
-        geometric_moment(1e-9, 1.0, tol=1e-12)
+    # no term cap: a p this small takes the expansion, which gives E T = 1/p
+    assert geometric_moment(1e-9, 1.0, tol=1e-12) == pytest.approx(1e9, rel=1e-13)
+    # a value out of float range fails loudly, not with a bare OverflowError
+    with pytest.raises(SeriesConvergenceError, match=r"p=1e-06, alpha=200.0"):
+        geometric_moment(1e-6, 200.0)
+    with pytest.raises(SeriesConvergenceError, match=r"alpha=200.0"):
+        geometric_moment(0.7, 200.0)
+
+
+def test_geometric_moment_matches_mpmath_table():
+    rows = mpmath_table("geometric_moments.csv")
+    assert {row["alpha"] for row in rows} == set(MOMENT_ALPHAS)
+    assert len(rows) == 42
+    for row in rows:
+        assert geometric_moment(row["p"], row["alpha"]) == pytest.approx(row["moment"], rel=1e-13)
 
 
 def test_factorial_bound_values_and_dominance():
@@ -178,6 +238,27 @@ def test_deviation_constants_homogeneous_alpha1():
     expected = 2.0 * (1.0 + 1.0 / p + 1.0 / (1.0 - p))
     assert c2_const == pytest.approx(expected, rel=1e-8)
     assert c2_const == pytest.approx(29.08, abs=0.01)
+
+
+def test_c2_matches_mpmath_table():
+    # small A (p_dense summed without cancellation) and large A (its
+    # complement summed directly), where the moments take the expansion
+    rows = mpmath_table("c2_constants.csv")
+    assert [(row["a"], row["alpha"]) for row in rows] == [(5.0, 0.25), (0.05, 1.0), (4.0, 2.0), (6.0, 1.0)]
+    for row in rows:
+        mp = ModelParams(eps1=1.0, eps2=1.0, alpha=row["alpha"])
+        assert deviation_constants(mp, row["a"])[1] == pytest.approx(row["c2"], rel=1e-13)
+
+
+def test_c2_where_the_complement_rounds_to_one():
+    # at tiny A, 1 - p_dense rounds to 1 and its moment is 1 to float
+    # resolution; C2 is still the E T~^alpha term
+    a = 1e-6
+    mp = ModelParams(eps1=1.0, eps2=1.0, alpha=1.0)
+    p = p_dense(a, 1.0)
+    assert 1.0 - p == 1.0
+    assert p == pytest.approx(a**6 / 6.0, rel=1e-12)
+    assert deviation_constants(mp, a)[1] == pytest.approx(2.0 * a * (1.0 + (1.0 / p + 1.0) / (a * a)), rel=1e-13)
 
 
 def test_deviation_constants_c1_linear_in_c1():
@@ -264,6 +345,14 @@ def test_beta_bounds_skip_a_where_the_dense_probability_rounds_to_one():
     assert up.arg_a == pytest.approx(1.67, abs=0.05)
     assert up.value == pytest.approx(8.15, abs=0.05)
     assert low.value == pytest.approx(0.147, abs=0.002)
+
+
+def test_beta_bounds_default_scan_skips_nothing():
+    # with the expansion every default grid point has a C2
+    for eps1, eps2 in ((1.0, 1.0), (0.5, 1.5)):
+        for alpha in np.arange(0.25, 2.0 + 1e-12, 0.25):
+            low, up = beta_bounds(float(alpha), eps1, eps2)
+            assert low.skipped_points == 0 and up.skipped_points == 0
 
 
 def test_beta_bounds_validation():

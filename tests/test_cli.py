@@ -219,7 +219,7 @@ def run_cli_process(*argv):
     (["beta", "--curve", "--alpha-step", "-0.25"], "--alpha-step must be positive"),
     (["beta", "--curve", "--alpha-min", "2", "--alpha-max", "1"], "exceeds --alpha-max"),
     (["beta", "--alpha", "1", "--refine-tol", "0"], "refine_tol must be positive"),
-    (["bounds", "--alpha", "0.25", "--a", "5"], "did not reach tol=1e-09"),
+    (["bounds", "--alpha", "200", "--a", "5"], "did not reach tol=1e-09"),
     (["bounds", "--alpha", "2", "--c2", "1e300"], "numbers out of range"),
     (["bounds", "--alpha", "1", "--a", "30"], "cannot converge at A=30.0, delta=1.0"),
     (["bounds", "--alpha", "1", "--a", "1e200"], "cannot converge at A=1e+200, delta=1.0"),
@@ -230,6 +230,15 @@ def test_bad_numbers_fail_at_the_boundary(argv, message):
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
     assert proc.stdout == ""
+
+
+def test_bounds_prints_c2_where_the_moment_series_is_long():
+    # 1 - p_dense is about 5e-9 at A = 5: its moment comes from Lindelöf's
+    # expansion, checked against mpmath (tests/golden/c2_constants.csv)
+    proc = run_cli_process("bounds", "--alpha", "0.25", "--a", "5")
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["c2_const"] == pytest.approx(9.635724691223446, rel=1e-13)
 
 
 # edge values and ordinary ones, as well as arbitrary floats
