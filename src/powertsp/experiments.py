@@ -23,7 +23,7 @@ import numpy as np
 from .bounds import ModelParams, beta_bounds, deviation_constants
 from .geometry import Tiling, build_tiling
 from .sampling import RNG_NAME, density_from_dict, sample_binomial
-from .solvers import grid_tour, tsp_exact, two_opt
+from .solvers import EXACT_TOUR_MAX_N, grid_tour, tsp_exact, two_opt
 from .weights import BUILTIN_KINDS, WeightFunction, make_weight_function
 
 HEURISTICS = ("grid_tour", "grid_tour+two_opt")
@@ -111,8 +111,9 @@ class ExperimentConfig:
             raise ValueError(f"tiling parameter a must be positive and finite, got {self.a}")
         if self.policy.heuristic not in HEURISTICS:
             raise ValueError(f"heuristic must be one of {HEURISTICS}")
-        if not (0 <= self.policy.exact_below <= 19):
-            raise ValueError("exact_below must lie in 0..19 (exact solver caps at 18 nodes)")
+        if not (0 <= self.policy.exact_below <= EXACT_TOUR_MAX_N + 1):
+            raise ValueError(f"exact_below must lie in 0..{EXACT_TOUR_MAX_N + 1} "
+                             f"(exact solver caps at {EXACT_TOUR_MAX_N} nodes)")
         if not (0.0 <= self.slack < math.inf):
             raise ValueError(f"slack must be non-negative and finite, got {self.slack}")
 

@@ -3,8 +3,8 @@ throughout: the binomial process (exactly n i.i.d. nodes) and the
 Poissonized process (a Poisson(n) number of i.i.d. nodes).
 
 Sampling is rejection against the declared supremum bound, driven by a
-counter-based Philox generator keyed on (seed, stream), so parallel trials
-are independent and every sample is reproducible bit for bit.
+counter-based Philox generator keyed on (seed, stream), so trials draw
+from independent streams and every sample is reproducible bit for bit.
 """
 
 from __future__ import annotations

@@ -19,10 +19,9 @@ dense/sparse label-gap statistics.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, permutations
+from itertools import permutations
 
 import numpy as np
 
@@ -120,26 +119,19 @@ def tsp_bruteforce(points, wf: WeightFunction, alpha: float) -> Tour:
     n = pts.shape[0]
     if not (2 <= n <= BRUTEFORCE_MAX_N):
         raise ValueError(f"brute force handles 2 <= n <= {BRUTEFORCE_MAX_N}, got {n}")
-    mat = weight_matrix(wf, alpha, pts).tolist()
-    row0 = mat[0]
-
-    def cycle_weight(perm):
-        w = row0[perm[0]]
-        prev = perm[0]
-        for node in perm[1:]:
-            w += mat[prev][node]
-            prev = node
-        return w + mat[prev][0]
-
-    def cycles():
-        # skip the reflection of an earlier cycle
-        return (perm for perm in permutations(range(1, n)) if perm[0] <= perm[-1])
-
-    weights = array("d", map(cycle_weight, cycles()))
-    best_w = min(weights)
+    mat = weight_matrix(wf, alpha, pts)
+    # one row per cycle; a row with p[0] > p[-1] reflects an earlier one
+    perms = np.fromiter((p for p in permutations(range(1, n)) if p[0] <= p[-1]),
+                        dtype=np.dtype((np.intp, (n - 1,))))
+    # summed edge by edge from node 0, the float order of a loop over a cycle
+    weights = mat[0, perms[:, 0]]
+    for k in range(1, n - 1):
+        weights += mat[perms[:, k - 1], perms[:, k]]
+    weights += mat[perms[:, -1], 0]
+    best_w = float(weights.min())
     tol = 1e-12 * (1.0 + abs(best_w))
-    first = next(k for k, w in enumerate(weights) if w <= best_w + tol)
-    order = (0,) + next(islice(cycles(), first, None))
+    first = int(np.flatnonzero(weights <= best_w + tol)[0])
+    order = (0,) + tuple(perms[first].tolist())
     return Tour(order=order, weight=tour_weight(pts, order, wf, alpha))
 
 
@@ -220,36 +212,36 @@ def tsp_exact(points, wf: WeightFunction, alpha: float) -> Tour:
     if not (2 <= n <= EXACT_TOUR_MAX_N):
         raise ValueError(f"exact solver handles 2 <= n <= {EXACT_TOUR_MAX_N}, got {n}")
     mat = weight_matrix(wf, alpha, pts)
-    if n == 2:
-        return Tour(order=(0, 1), weight=tour_weight(pts, (0, 1), wf, alpha))
     order = canonical_cycle(_greedy_reconstruct(mat, _completion_table(mat), [0]))
     return Tour(order=order, weight=tour_weight(pts, order, wf, alpha))
 
 
 def _two_opt_moves(mat: np.ndarray, o: np.ndarray, tol: float, max_passes: int,
                    pinned: int = 0) -> None:
-    """Segment reversals on the cycle ``o`` (in place) until no move gains
-    more than ``tol`` or the pass budget runs out.  ``o[0]`` never moves;
-    ``pinned = 1`` also keeps ``o[1]``, and with it the edge o[0]–o[1]."""
+    """Segment reversals on the cycle ``o`` (n >= 4, in place) until no move
+    gains more than ``tol`` or the pass budget runs out.  ``o[0]`` never
+    moves; ``pinned = 1`` also keeps ``o[1]``, and with it the edge
+    o[0]–o[1].  The walk runs on the closed array ``w``, whose ``w[n]`` is
+    the fixed ``o[0]``, so the candidate edges (w[j], w[j + 1]) are two
+    slices."""
     n = o.size
+    w = np.append(o, o[0])
     for _ in range(max_passes):
         improved = False
         for i in range(pinned, n - 2):
-            a, b = o[i], o[i + 1]
-            j_hi = n - 1 if i > 0 else n - 2
-            js = np.arange(i + 2, j_hi + 1)
-            if not js.size:
-                continue
-            c = o[js]
-            d = o[(js + 1) % n]
+            a, b = w[i], w[i + 1]
+            hi = n if i > 0 else n - 1  # at i = 0, edge (w[n-1], w[n]) shares a
+            c = w[i + 2 : hi]
+            d = w[i + 3 : hi + 1]
             delta = mat[a, c] + mat[b, d] - mat[a, b] - mat[c, d]
             k = int(np.argmin(delta))
             if delta[k] < -tol:
-                j = int(js[k])
-                o[i + 1 : j + 1] = o[i + 1 : j + 1][::-1]
+                j = i + 2 + k
+                w[i + 1 : j + 1] = w[i + 1 : j + 1][::-1]
                 improved = True
         if not improved:
             break
+    o[:] = w[:n]
 
 
 def min_weight_spanning_path(
@@ -266,8 +258,6 @@ def min_weight_spanning_path(
         raise ValueError("a spanning path needs at least 1 node")
     if required_endpoint is not None and not (0 <= required_endpoint < n):
         raise ValueError(f"required endpoint {required_endpoint} out of range")
-    if n == 1:
-        return SpanningPath(order=(0,), weight=0.0, endpoints=(0, 0), exact=True)
     mat = weight_matrix(wf, alpha, pts)
     anchored = np.pad(mat, ((1, 0), (1, 0)))
     start = 0 if required_endpoint is None else required_endpoint
@@ -333,17 +323,11 @@ def _chain_cells(pts: np.ndarray, wf: WeightFunction, alpha: float,
     order: list[int] = []
     for lab in labels:
         nodes = cells[lab]
-        if not order:
-            entry = nodes[0]
-        elif len(nodes) == 1:
-            entry = nodes[0]
-        else:
+        entry = nodes[0]
+        if order and len(nodes) > 1:
             w = edge_weight_pairs(wf, alpha, pts[order[-1]][None, :], pts[nodes])
             entry = nodes[int(np.argmin(w))]
-        if len(nodes) == 1:
-            order.append(entry)
-        else:
-            order.extend(_nn_within(pts, wf, alpha, nodes, entry))
+        order.extend(_nn_within(pts, wf, alpha, nodes, entry))
     return order
 
 

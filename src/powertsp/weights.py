@@ -60,9 +60,10 @@ class WeightFunction:
         return float(self.h_pairs(as_coords([u])[0], as_coords([v])[0]))
 
     def h_pairs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Vectorized costs for matched rows of two (m, 2) arrays, in the
-        caller's order: the one call site of ``func``, which must therefore
-        be symmetric bit for bit (``verify_equivalence`` checks it)."""
+        """Vectorized costs for two broadcastable (..., 2) coordinate arrays,
+        in the caller's order: the one call site of ``func``, which must
+        therefore be symmetric bit for bit (``verify_equivalence`` checks
+        it)."""
         return self.func(np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64))
 
 
@@ -135,19 +136,16 @@ def edge_weight_pairs(wf: WeightFunction, alpha: float, u: np.ndarray, v: np.nda
 
 
 def weight_matrix(wf: WeightFunction, alpha: float, points) -> np.ndarray:
-    """Full symmetric n x n matrix of edge weights, zero diagonal.
+    """Full n x n matrix of edge weights, zero diagonal.
 
-    Built from the upper triangle and mirrored, so W[i, j] and W[j, i] are
-    bit-identical.
+    Every ordered pair is evaluated, so W[i, j] and W[j, i] are
+    bit-identical only because ``func`` is symmetric bit for bit, the
+    precondition ``verify_equivalence`` checks.
     """
     check_alpha(alpha)
     pts = as_coords(points)
-    n = pts.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    w = wf.h_pairs(pts[iu], pts[ju]) ** alpha
-    mat = np.zeros((n, n), dtype=np.float64)
-    mat[iu, ju] = w
-    mat[ju, iu] = w
+    mat = wf.h_pairs(pts[:, None, :], pts[None, :, :]) ** alpha
+    np.fill_diagonal(mat, 0.0)
     return mat
 
 

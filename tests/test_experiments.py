@@ -185,19 +185,16 @@ def test_report_io_error():
         write_report(report, "/tmp/x.json", format="yaml")
 
 
-def test_reports_byte_identical_across_thread_counts(tmp_path, monkeypatch):
-    outputs = {}
-    for threads in ("1", "4"):
-        monkeypatch.setenv("POWERTSP_THREADS", threads)
+def test_reports_byte_identical_across_thread_counts(tmp_path):
+    # trials run serially; two runs of one config give the same bytes
+    outputs = []
+    for run in range(2):
         report = run_scaling(make_cfg(trials=6))
-        path = tmp_path / f"t{threads}.json"
-        write_report(report, str(path), format="json")
-        outputs[threads] = path.read_bytes()
-        csv_path = tmp_path / f"t{threads}.csv"
-        write_report(report, str(csv_path), format="csv")
-        outputs[threads + "csv"] = csv_path.read_bytes()
-    assert outputs["1"] == outputs["4"]
-    assert outputs["1csv"] == outputs["4csv"]
+        for fmt in ("json", "csv"):
+            path = tmp_path / f"run{run}.{fmt}"
+            write_report(report, str(path), format=fmt)
+            outputs.append(path.read_bytes())
+    assert outputs[:2] == outputs[2:]
 
 
 def test_report_from_dict_rejects_unknown_kind():

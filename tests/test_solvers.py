@@ -1,5 +1,6 @@
 import math
-from itertools import permutations
+from array import array
+from itertools import islice, permutations
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from powertsp.solvers import (
     Tour,
     _completion_table,
     _nn_within,
+    _two_opt_moves,
     approx_tsp_path,
     canonical_cycle,
     gap_statistics,
@@ -286,6 +288,51 @@ def test_exact_solvers_match_reference_dp(n):
             assert (p.order, p.weight, p.endpoints, p.exact) == ref, (kind, alpha, required)
 
 
+# Reference: the permutation scan as a loop over one cycle at a time.  The
+# array scan sums each cycle in the same left-to-right order, so its weights
+# carry the same bits and it must pick the same first tied cycle.
+
+
+def reference_bruteforce(pts, wf, alpha):
+    n = len(pts)
+    mat = weight_matrix(wf, alpha, pts).tolist()
+
+    def cycle_weight(perm):
+        w = mat[0][perm[0]]
+        prev = perm[0]
+        for node in perm[1:]:
+            w += mat[prev][node]
+            prev = node
+        return w + mat[prev][0]
+
+    def cycles():
+        return (perm for perm in permutations(range(1, n)) if perm[0] <= perm[-1])
+
+    weights = array("d", map(cycle_weight, cycles()))
+    best_w = min(weights)
+    tol = 1e-12 * (1.0 + abs(best_w))
+    first = next(k for k, w in enumerate(weights) if w <= best_w + tol)
+    order = (0,) + next(islice(cycles(), first, None))
+    return order, tour_weight(pts, order, wf, alpha)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_bruteforce_matches_reference_scan(n):
+    # random points and lattice subsets, whose tied cycles differ by an ulp;
+    # at n = 9 also the 3 x 3 lattice, where the first tied cycle is often
+    # not the one of least float weight
+    for case, (kind, alpha) in enumerate((k, a) for k in KINDS for a in ALPHAS):
+        wf = make_weight_function(kind)
+        rng = np.random.default_rng(3000 * n + case)
+        instances = [random_points(n, seed=3000 * n + case),
+                     LATTICE[rng.choice(len(LATTICE), size=n, replace=False)]]
+        if n == 9:
+            instances.append(LATTICE.reshape(5, 5, 2)[::2, ::2].reshape(9, 2))
+        for pts in instances:
+            t = tsp_bruteforce(pts, wf, alpha)
+            assert (t.order, t.weight) == reference_bruteforce(pts, wf, alpha), (kind, alpha)
+
+
 # ---------------------------------------------------------------------------
 # constructive tour
 # ---------------------------------------------------------------------------
@@ -362,6 +409,60 @@ def test_two_opt_never_increases_weight():
         p = two_opt(pts, g, EU, 1.5)
         assert p.weight <= g.weight + 1e-9
         assert sorted(p.order) == list(range(n))
+
+
+# Reference: the sweep with candidate indices from np.arange and successors
+# by modulo.  The slice sweep scores the same moves in the same order, so
+# every pass must leave the same cycle.
+
+
+def reference_two_opt_moves(mat, o, tol, max_passes, pinned=0):
+    n = o.size
+    for _ in range(max_passes):
+        improved = False
+        for i in range(pinned, n - 2):
+            a, b = o[i], o[i + 1]
+            j_hi = n - 1 if i > 0 else n - 2
+            js = np.arange(i + 2, j_hi + 1)
+            if not js.size:
+                continue
+            c = o[js]
+            d = o[(js + 1) % n]
+            delta = mat[a, c] + mat[b, d] - mat[a, b] - mat[c, d]
+            k = int(np.argmin(delta))
+            if delta[k] < -tol:
+                j = int(js[k])
+                o[i + 1 : j + 1] = o[i + 1 : j + 1][::-1]
+                improved = True
+        if not improved:
+            break
+
+
+@pytest.mark.parametrize("n", [4, 5, 9, 17, 25, 40])
+def test_two_opt_moves_match_reference(n):
+    # tours from random starts and nearest-neighbour paths through a pinned
+    # anchor, on random points and on the tied lattice; every pass budget
+    # up to 3, then the full one, so each pass's moves are compared
+    rng = np.random.default_rng(4000 + n)
+    for case, (kind, alpha) in enumerate(zip(KINDS * 2, ALPHAS + ALPHAS[::-1])):
+        wf = make_weight_function(kind)
+        if case % 2:
+            pts = LATTICE[rng.choice(len(LATTICE), size=min(n, len(LATTICE)), replace=False)]
+        else:
+            pts = random_points(n, seed=4000 * n + case)
+        mat = weight_matrix(wf, alpha, pts)
+        anchored = np.pad(mat, ((1, 0), (1, 0)))
+        walk = _nn_within(pts, wf, alpha, list(range(len(pts))), case % len(pts))
+        starts = [(mat, rng.permutation(len(pts)), 0),
+                  (anchored, np.array([0] + [v + 1 for v in walk]), 0),
+                  (anchored, np.array([0] + [v + 1 for v in walk]), 1)]
+        for m, start, pinned in starts:
+            tol = 1e-12 * (1.0 + float(np.sum(m[start, np.roll(start, -1)])))
+            for passes in (1, 2, 3, 40):
+                o, ref = start.copy(), start.copy()
+                _two_opt_moves(m, o, tol, passes, pinned=pinned)
+                reference_two_opt_moves(m, ref, tol, passes, pinned=pinned)
+                assert o.tolist() == ref.tolist(), (kind, alpha, pinned, passes)
 
 
 @pytest.mark.parametrize("bogus", [math.nan, 1e300])

@@ -112,19 +112,21 @@ def _stretched(u, v):
 
 
 def test_weight_matrix_symmetric_zero_diagonal():
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(-0.5, 0.5, size=(7, 2))
     weights = [make_weight_function(kind)
                for kind in ("euclidean", "coordinate_metric", "radial_metric")]
     weights.append(make_weight_function("custom", func=_stretched, c1=1.0, c2=1.2))
-    i, j = np.nonzero(~np.eye(7, dtype=bool))
-    for wf in weights:
-        mat = weight_matrix(wf, 0.7, pts)
-        assert np.array_equal(mat, mat.T)
-        assert np.all(np.diag(mat) == 0.0)
-        # every off-diagonal entry is the pair weight, bit for bit, in both orders
-        assert np.array_equal(mat[i, j], edge_weight_pairs(wf, 0.7, pts[i], pts[j]))
-        assert np.array_equal(mat[i, j], edge_weight_pairs(wf, 0.7, pts[j], pts[i]))
+    # n = 257 is odd, so vectorised loops run their scalar tails too
+    for n, alpha in [(7, 0.7)] + [(257, a) for a in (0.5, 1.0, 1.7, 2.0)]:
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(-0.5, 0.5, size=(n, 2))
+        i, j = np.nonzero(~np.eye(n, dtype=bool))
+        for wf in weights:
+            mat = weight_matrix(wf, alpha, pts)
+            assert np.array_equal(mat, mat.T)
+            assert np.all(np.diag(mat) == 0.0)
+            # every off-diagonal entry is the pair weight, bit for bit, in both orders
+            assert np.array_equal(mat[i, j], edge_weight_pairs(wf, alpha, pts[i], pts[j]))
+            assert np.array_equal(mat[i, j], edge_weight_pairs(wf, alpha, pts[j], pts[i]))
 
 
 def test_verify_equivalence_builtins_pass():
