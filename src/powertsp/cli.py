@@ -1,7 +1,8 @@
 """Command-line front door: solve instances, evaluate constants, run the
 Monte Carlo experiments, and run the invariant suite.
 
-Exit codes: 0 success, 1 validation error, 2 property failure, 3 I/O error.
+Exit codes: 0 success, 1 validation error or out of memory, 2 property
+failure, 3 I/O error.
 Every run prints its resolved configuration to stderr before executing, and
 --seed (where stochastic) fully determines the output.
 """
@@ -267,6 +268,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except ArithmeticError as exc:  # overflow or underflow on extreme but finite numbers
         print(f"error: numbers out of range: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError:  # the dense weight matrix of a large instance
+        print("error: out of memory: the dense n x n weight matrix needs 8*n^2 bytes",
+              file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -223,20 +223,36 @@ def _two_opt_moves(mat: np.ndarray, o: np.ndarray, tol: float, max_passes: int,
     moves; ``pinned = 1`` also keeps ``o[1]``, and with it the edge
     o[0]–o[1].  The walk runs on the closed array ``w``, whose ``w[n]`` is
     the fixed ``o[0]``, so the candidate edges (w[j], w[j + 1]) are two
-    slices."""
+    slices.
+
+    The edge array ``e[j] = mat[w[j], w[j + 1]]`` carries the tour's edge
+    weights, so the row of edge (a, b) = (w[i], w[i + 1]) against the edges
+    (c, d) = (w[j], w[j + 1]) gathers only ``mat[a, c]`` and ``mat[b, d]``;
+    its sums run in the order
+    ``((mat[a, c] + mat[b, d]) - mat[a, b]) - mat[c, d]``.  A move reverses
+    the edges inside the segment and rewrites the two at its ends.  The
+    reversed edges are read backwards, so ``mat`` must be symmetric bit for
+    bit: ``weight_matrix`` is, under its ``func`` precondition that
+    ``verify_equivalence`` checks, and so is its zero-padded anchored
+    form."""
     n = o.size
     w = np.append(o, o[0])
+    e = mat[w[:-1], w[1:]]
     for _ in range(max_passes):
         improved = False
         for i in range(pinned, n - 2):
             a, b = w[i], w[i + 1]
             hi = n if i > 0 else n - 1  # at i = 0, edge (w[n-1], w[n]) shares a
-            c = w[i + 2 : hi]
-            d = w[i + 3 : hi + 1]
-            delta = mat[a, c] + mat[b, d] - mat[a, b] - mat[c, d]
-            k = int(np.argmin(delta))
+            delta = mat[a].take(w[i + 2 : hi])
+            delta += mat[b].take(w[i + 3 : hi + 1])
+            delta -= e[i]
+            delta -= e[i + 2 : hi]
+            k = delta.argmin()
             if delta[k] < -tol:
                 j = i + 2 + k
+                e[i + 1 : j] = e[i + 1 : j][::-1]
+                e[i] = mat[a, w[j]]
+                e[j] = mat[b, w[j + 1]]
                 w[i + 1 : j + 1] = w[i + 1 : j + 1][::-1]
                 improved = True
         if not improved:
@@ -306,12 +322,13 @@ def _cells_of(points: np.ndarray, tiling: Tiling) -> dict[int, list[int]]:
 
 def _nn_within(pts: np.ndarray, wf: WeightFunction, alpha: float,
                nodes: list[int], entry: int) -> list[int]:
-    """Nearest-neighbor spanning order of one cell's nodes from ``entry``."""
+    """Nearest-neighbor spanning order of one cell's nodes from ``entry``;
+    the caller has checked ``alpha``."""
     seq = [entry]
     remaining = [v for v in nodes if v != entry]
     while remaining:
-        w = edge_weight_pairs(wf, alpha, pts[seq[-1]][None, :], pts[remaining])
-        seq.append(remaining.pop(int(np.argmin(w))))
+        w = wf.h_pairs(pts[seq[-1]][None, :], pts[remaining]) ** alpha
+        seq.append(remaining.pop(int(w.argmin())))
     return seq
 
 
@@ -325,8 +342,8 @@ def _chain_cells(pts: np.ndarray, wf: WeightFunction, alpha: float,
         nodes = cells[lab]
         entry = nodes[0]
         if order and len(nodes) > 1:
-            w = edge_weight_pairs(wf, alpha, pts[order[-1]][None, :], pts[nodes])
-            entry = nodes[int(np.argmin(w))]
+            w = wf.h_pairs(pts[order[-1]][None, :], pts[nodes]) ** alpha
+            entry = nodes[int(w.argmin())]
         order.extend(_nn_within(pts, wf, alpha, nodes, entry))
     return order
 

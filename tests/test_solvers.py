@@ -411,9 +411,12 @@ def test_two_opt_never_increases_weight():
         assert sorted(p.order) == list(range(n))
 
 
-# Reference: the sweep with candidate indices from np.arange and successors
-# by modulo.  The slice sweep scores the same moves in the same order, so
-# every pass must leave the same cycle.
+# Reference: the sweep with candidate indices from np.arange, successors by
+# modulo, and all four weights of a candidate gathered from the matrix on
+# every row.  The kernel instead carries the tour's edge weights in an edge
+# array that each move rewrites (the segment's edges reversed, the two at its
+# ends replaced); it sums the same four weights in the same order, so every
+# pass must leave the same cycle.
 
 
 def reference_two_opt_moves(mat, o, tol, max_passes, pinned=0):
@@ -438,12 +441,9 @@ def reference_two_opt_moves(mat, o, tol, max_passes, pinned=0):
             break
 
 
-@pytest.mark.parametrize("n", [4, 5, 9, 17, 25, 40])
-def test_two_opt_moves_match_reference(n):
-    # tours from random starts and nearest-neighbour paths through a pinned
-    # anchor, on random points and on the tied lattice; every pass budget
-    # up to 3, then the full one, so each pass's moves are compared
-    rng = np.random.default_rng(4000 + n)
+def small_two_opt_starts(n, rng):
+    """Tours from random starts and nearest-neighbour paths through a pinned
+    anchor, on random points and on the tied lattice."""
     for case, (kind, alpha) in enumerate(zip(KINDS * 2, ALPHAS + ALPHAS[::-1])):
         wf = make_weight_function(kind)
         if case % 2:
@@ -453,16 +453,37 @@ def test_two_opt_moves_match_reference(n):
         mat = weight_matrix(wf, alpha, pts)
         anchored = np.pad(mat, ((1, 0), (1, 0)))
         walk = _nn_within(pts, wf, alpha, list(range(len(pts))), case % len(pts))
-        starts = [(mat, rng.permutation(len(pts)), 0),
-                  (anchored, np.array([0] + [v + 1 for v in walk]), 0),
-                  (anchored, np.array([0] + [v + 1 for v in walk]), 1)]
-        for m, start, pinned in starts:
-            tol = 1e-12 * (1.0 + float(np.sum(m[start, np.roll(start, -1)])))
-            for passes in (1, 2, 3, 40):
-                o, ref = start.copy(), start.copy()
-                _two_opt_moves(m, o, tol, passes, pinned=pinned)
-                reference_two_opt_moves(m, ref, tol, passes, pinned=pinned)
-                assert o.tolist() == ref.tolist(), (kind, alpha, pinned, passes)
+        yield kind, alpha, mat, rng.permutation(len(pts)), 0
+        yield kind, alpha, anchored, np.array([0] + [v + 1 for v in walk]), 0
+        yield kind, alpha, anchored, np.array([0] + [v + 1 for v in walk]), 1
+
+
+def grid_tour_two_opt_starts(n):
+    """grid_tour cycles under the coordinate and radial kinds: several
+    passes with long reversals, so later passes read an edge array that
+    earlier moves rewrote."""
+    pts = random_points(n, seed=4000 * n)
+    for kind, alpha in (("coordinate_metric", 1.0), ("radial_metric", 1.5)):
+        wf = make_weight_function(kind)
+        start = grid_tour(pts, wf, alpha, build_tiling(n, 1.0))
+        yield kind, alpha, weight_matrix(wf, alpha, pts), np.array(start.order), 0
+
+
+@pytest.mark.parametrize("n", [4, 5, 9, 17, 25, 40, 300])
+def test_two_opt_moves_match_reference(n):
+    # every pass budget up to 3, then the full one, so each pass's moves are
+    # compared
+    if n == 300:
+        starts = grid_tour_two_opt_starts(n)
+    else:
+        starts = small_two_opt_starts(n, np.random.default_rng(4000 + n))
+    for kind, alpha, m, start, pinned in starts:
+        tol = 1e-12 * (1.0 + float(np.sum(m[start, np.roll(start, -1)])))
+        for passes in (1, 2, 3, 40):
+            o, ref = start.copy(), start.copy()
+            _two_opt_moves(m, o, tol, passes, pinned=pinned)
+            reference_two_opt_moves(m, ref, tol, passes, pinned=pinned)
+            assert o.tolist() == ref.tolist(), (kind, alpha, pinned, passes)
 
 
 @pytest.mark.parametrize("bogus", [math.nan, 1e300])
