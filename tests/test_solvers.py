@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from powertsp.bounds import ModelParams, deviation_constants
-from powertsp.geometry import build_tiling
+from powertsp.geometry import build_tiling, cell_index_array
 from powertsp.sampling import build_density, sample_binomial
 from powertsp.solvers import (
+    EXACT_PATH_MAX_N,
     Tour,
     _completion_table,
     _nn_within,
@@ -379,6 +380,75 @@ def test_grid_tour_upper_bound_small_sample():
         if grid_tour(pts, EU, 1.0, tiling).weight <= cap:
             hits += 1
     assert hits >= 48
+
+
+# Reference: the cell chain with its own entry search, which scores a cell's
+# nodes from the chain tail and then starts a nearest-neighbour walk at the
+# cheapest one, and a walk that scores its last, lone candidate too.  Both
+# take the same argmins over the same float weights as the solver, so orders
+# and weights must match exactly.
+
+
+def reference_nn_within(pts, wf, alpha, nodes, entry):
+    seq = [entry]
+    remaining = [v for v in nodes if v != entry]
+    while remaining:
+        w = wf.h_pairs(pts[seq[-1]][None, :], pts[remaining]) ** alpha
+        seq.append(remaining.pop(int(w.argmin())))
+    return seq
+
+
+def reference_chain_cells(pts, wf, alpha, cells, labels):
+    order = []
+    for lab in labels:
+        nodes = cells[lab]
+        entry = nodes[0]
+        if order and len(nodes) > 1:
+            w = wf.h_pairs(pts[order[-1]][None, :], pts[nodes]) ** alpha
+            entry = nodes[int(w.argmin())]
+        order.extend(reference_nn_within(pts, wf, alpha, nodes, entry))
+    return order
+
+
+def reference_grid_tour(pts, wf, alpha, tiling):
+    cells = {}
+    for idx, lab in enumerate(cell_index_array(tiling, pts)):
+        cells.setdefault(int(lab), []).append(idx)
+    occupied = sorted(cells)
+    dense = [lab for lab in occupied if len(cells[lab]) >= 3]
+    sparse = [lab for lab in occupied if len(cells[lab]) <= 2]
+    if len(dense) >= 2 and len(sparse) >= 2:
+        cycle = (reference_chain_cells(pts, wf, alpha, cells, dense)
+                 + reference_chain_cells(pts, wf, alpha, cells, sparse)[::-1])
+    else:
+        cycle = reference_chain_cells(pts, wf, alpha, cells, occupied)
+    order = canonical_cycle(cycle)
+    return order, tour_weight(pts, order, wf, alpha)
+
+
+CHECKERBOARD = build_density("checkerboard", 0.5, 1.5, 4)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 9, 17, 64, 257, 1000])
+def test_grid_tour_matches_reference(n):
+    # uniform and checkerboard points, every tiling side a <= sqrt(n) from
+    # {0.5, 1, 2}: at small n a single cell or too few dense cells leave
+    # one chain over all occupied cells; beyond the exact path cutoff, also
+    # the path heuristic's walk over all nodes
+    combos = [(k, al, dens) for k in KINDS for al in ALPHAS for dens in ("uniform", "checkerboard")]
+    for case, (kind, alpha, dens) in enumerate(combos):
+        wf = make_weight_function(kind)
+        seed = 6000 * n + case
+        pts = (random_points(n, seed) if dens == "uniform"
+               else sample_binomial(CHECKERBOARD, n, seed).points)
+        for a in (a for a in (0.5, 1.0, 2.0) if a <= math.sqrt(n)):
+            tiling = build_tiling(n, a)
+            g = grid_tour(pts, wf, alpha, tiling)
+            assert (g.order, g.weight) == reference_grid_tour(pts, wf, alpha, tiling), (kind, alpha, dens, a)
+        if n > EXACT_PATH_MAX_N:
+            start = case % n
+            walk = _nn_within(pts, wf, alpha, list(range(n)), start)
+            assert walk == reference_nn_within(pts, wf, alpha, list(range(n)), start), (kind, alpha, dens)
 
 
 # ---------------------------------------------------------------------------
