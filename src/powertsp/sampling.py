@@ -2,7 +2,7 @@
 throughout: the binomial process (exactly n i.i.d. nodes) and the
 Poissonized process (a Poisson(n) number of i.i.d. nodes).
 
-Sampling is rejection against the declared supremum bound, driven by a
+Sampling is rejection against the density's own maximum, driven by a
 counter-based Philox generator keyed on (seed, stream), so trials draw
 from independent streams and every sample is reproducible bit for bit.
 """
@@ -128,25 +128,22 @@ def density_from_dict(desc: dict) -> Density:
 
 
 def _draw_points(d: Density, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Exactly ``count`` i.i.d. points from d via rejection against eps2,
-    with exact duplicates resampled (general position)."""
-    out = np.empty((count, 2), dtype=np.float64)
-    seen: set[tuple[float, float]] = set()
-    filled = 0
+    """Exactly ``count`` i.i.d. points from d via rejection against the
+    density's own maximum, in batches.  Exact duplicates are dropped
+    (general position): the first occurrence of each point, in draw order,
+    is kept, and batches are drawn until ``count`` distinct points stand."""
+    envelope = 1.0 if d.grid is None else float(d.grid.max())
+    out = np.empty((0, 2), dtype=np.float64)
     batch = max(64, int(1.3 * count))
-    while filled < count:
+    while out.shape[0] < count:
         cand = rng.uniform(-0.5, 0.5, size=(batch, 2))
-        accept = rng.uniform(0.0, 1.0, size=batch) * d.eps2 <= d.value(cand)
-        for row in cand[accept]:
-            key = (row[0], row[1])
-            if key in seen:
-                continue
-            seen.add(key)
-            out[filled] = row
-            filled += 1
-            if filled == count:
-                break
-    return out
+        accept = rng.uniform(0.0, 1.0, size=batch) * envelope <= d.value(cand)
+        out = np.concatenate([out, cand[accept]])
+        # each row viewed as one complex number: equal rows are equal numbers,
+        # and a 1-D unique sorts several times faster than one over axis 0
+        first = np.unique(out.view(np.complex128)[:, 0], return_index=True)[1]
+        out = out[np.sort(first)]
+    return out[:count]
 
 
 def sample_binomial(d: Density, n: int, seed: int, stream: tuple[int, ...] = ()) -> PointSample:

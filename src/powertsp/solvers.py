@@ -32,6 +32,7 @@ BRUTEFORCE_MAX_N = 10
 EXACT_TOUR_MAX_N = 18
 EXACT_PATH_MAX_N = 16
 DEFAULT_TWO_OPT_PASSES = 40
+DENSE_CELL_MIN_NODES = 3  # a cell with fewer nodes is sparse
 
 
 @dataclass(frozen=True)
@@ -322,29 +323,28 @@ def _cells_of(points: np.ndarray, tiling: Tiling) -> dict[int, list[int]]:
 
 def _nn_within(pts: np.ndarray, wf: WeightFunction, alpha: float,
                nodes: list[int], entry: int) -> list[int]:
-    """Nearest-neighbor spanning order of one cell's nodes from ``entry``;
-    the caller has checked ``alpha``."""
+    """Nearest-neighbor walk from ``entry`` over ``nodes`` (``entry`` need
+    not be one of them); the last remaining node is taken without being
+    scored.  The caller has checked ``alpha``."""
     seq = [entry]
     remaining = [v for v in nodes if v != entry]
-    while remaining:
+    while len(remaining) > 1:
         w = wf.h_pairs(pts[seq[-1]][None, :], pts[remaining]) ** alpha
         seq.append(remaining.pop(int(w.argmin())))
-    return seq
+    return seq + remaining
 
 
 def _chain_cells(pts: np.ndarray, wf: WeightFunction, alpha: float,
                  cells: dict[int, list[int]], labels: list[int]) -> list[int]:
     """Concatenate per-cell nearest-neighbor paths over ``labels`` in label
-    order, entering each cell at its node cheapest from the chain tail (the
-    connector must attach at the path end to keep the union a simple path)."""
-    order: list[int] = []
-    for lab in labels:
-        nodes = cells[lab]
-        entry = nodes[0]
-        if order and len(nodes) > 1:
-            w = wf.h_pairs(pts[order[-1]][None, :], pts[nodes]) ** alpha
-            entry = nodes[int(w.argmin())]
-        order.extend(_nn_within(pts, wf, alpha, nodes, entry))
+    order.  The first cell is walked from its first node, every later one
+    from the chain tail, so each cell is entered at its node cheapest from
+    the tail (the connector must attach at the path end to keep the union a
+    simple path)."""
+    nodes = cells[labels[0]]
+    order = _nn_within(pts, wf, alpha, nodes, nodes[0])
+    for lab in labels[1:]:
+        order.extend(_nn_within(pts, wf, alpha, cells[lab], order[-1])[1:])
     return order
 
 
@@ -365,8 +365,8 @@ def grid_tour(points, wf: WeightFunction, alpha: float, tiling: Tiling) -> Tour:
         raise ValueError("the constructive tour needs at least 2 nodes")
     cells = _cells_of(pts, tiling)
     occupied = sorted(cells)
-    dense = [lab for lab in occupied if len(cells[lab]) >= 3]
-    sparse = [lab for lab in occupied if len(cells[lab]) <= 2]
+    dense = [lab for lab in occupied if len(cells[lab]) >= DENSE_CELL_MIN_NODES]
+    sparse = [lab for lab in occupied if len(cells[lab]) < DENSE_CELL_MIN_NODES]
     if len(dense) >= 2 and len(sparse) >= 2:
         dense_path = _chain_cells(pts, wf, alpha, cells, dense)
         sparse_path = _chain_cells(pts, wf, alpha, cells, sparse)
@@ -468,8 +468,9 @@ def gap_statistics(points, tiling: Tiling, alpha: float) -> GapStatistics:
     pts = as_coords(points)
     labels = cell_index_array(tiling, pts)
     counts = np.bincount(labels, minlength=tiling.cell_count + 1)
-    dense = [lab for lab in range(1, tiling.cell_count + 1) if counts[lab] >= 3]
-    sparse = [lab for lab in range(1, tiling.cell_count + 1) if counts[lab] < 3]
+    every_cell = range(1, tiling.cell_count + 1)
+    dense = [lab for lab in every_cell if counts[lab] >= DENSE_CELL_MIN_NODES]
+    sparse = [lab for lab in every_cell if counts[lab] < DENSE_CELL_MIN_NODES]
     s_alpha = _gap_sum(dense, tiling.cell_count, alpha)
     v_alpha = _gap_sum(sparse, tiling.cell_count, alpha)
     z_alpha = None

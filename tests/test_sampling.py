@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from powertsp.sampling import (
+    _draw_points,
     build_density,
     density_from_dict,
     make_rng,
@@ -157,3 +158,98 @@ def test_make_rng_streams_disjoint():
     a = make_rng(1, (2, 3)).uniform(size=8)
     b = make_rng(1, (2, 4)).uniform(size=8)
     assert not np.array_equal(a, b)
+
+
+class CountingRng:
+    """A real generator's draws, passed through and counted."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def uniform(self, low, high, size):
+        self.calls += 1
+        return self.rng.uniform(low, high, size=size)
+
+
+@pytest.mark.parametrize("desc", [("uniform", 1.0, 1e12, None),
+                                  ("checkerboard", 0.5, 1e12, 2),
+                                  ("checkerboard", 0.2, 3.0, 3)])
+def test_rejection_runs_against_the_density_maximum(desc):
+    # a loose eps2 must not shrink the acceptance rate: each batch draws
+    # 1.3 * count candidates, of which 1 / max(density) are kept, so a
+    # maximum of at most 2 needs at most two batches (against eps2, the last
+    # case needs three and the others about 1e12)
+    d = build_density(*desc)
+    rng = CountingRng(31)
+    pts = _draw_points(d, 4096, rng)
+    assert pts.shape == (4096, 2)
+    assert rng.calls % 2 == 0 and rng.calls // 2 <= 2  # two draws per batch
+
+
+def test_rescaled_checkerboard_keeps_its_cell_masses():
+    # high value rescaled to 2 below eps2 = 3: high cells carry 4 * 2 / 9
+    d = build_density("checkerboard", 0.2, 3.0, 3)
+    assert d.grid.max() == 2.0
+    n = 10_000
+    heavy = int(np.sum(d.value(sample_binomial(d, n, seed=32).points) == 2.0))
+    p = 8.0 / 9.0
+    assert abs(heavy - n * p) < 4 * math.sqrt(n * p * (1 - p))
+
+
+# Reference: the point-at-a-time dedupe loop with a seen set.  The array
+# dedupe keeps the first occurrence of each point in the same draw order, so
+# on densities whose maximum is eps2 both take the same batches and return
+# the same bytes.
+
+
+def reference_draw_points(d, count, rng):
+    out = np.empty((count, 2), dtype=np.float64)
+    seen = set()
+    filled = 0
+    batch = max(64, int(1.3 * count))
+    while filled < count:
+        cand = rng.uniform(-0.5, 0.5, size=(batch, 2))
+        accept = rng.uniform(0.0, 1.0, size=batch) * d.eps2 <= d.value(cand)
+        for row in cand[accept]:
+            key = (row[0], row[1])
+            if key in seen:
+                continue
+            seen.add(key)
+            out[filled] = row
+            filled += 1
+            if filled == count:
+                break
+    return out
+
+
+class LatticeRng(CountingRng):
+    """Candidates on a lattice of ``levels`` values per axis, so points
+    repeat exactly; acceptance draws stay continuous."""
+
+    def __init__(self, seed, levels):
+        super().__init__(seed)
+        self.levels = levels
+
+    def uniform(self, low, high, size):
+        if isinstance(size, tuple):
+            self.calls += 1
+            return self.rng.integers(0, self.levels, size=size) / self.levels - 0.5
+        return super().uniform(low, high, size)
+
+
+@pytest.mark.parametrize("levels,count,min_batches", [
+    (4, 16, 1),        # 64 candidates over 16 points: repeats within a batch
+    (8, 64, 3),        # every lattice point: repeats across several batches
+    (16, 150, 2),
+    (2**20, 1000, 1),  # rare repeats; count is reached 1000 rows into a 1300-row batch
+])
+@pytest.mark.parametrize("desc", [("uniform", 1.0, 1.0, None), ("checkerboard", 0.5, 1.5, 2)])
+def test_draw_points_dedupe_matches_reference(levels, count, min_batches, desc):
+    d = build_density(*desc)
+    assert (1.0 if d.grid is None else d.grid.max()) == d.eps2
+    got_rng, ref_rng = LatticeRng(33, levels), LatticeRng(33, levels)
+    got = _draw_points(d, count, got_rng)
+    ref = reference_draw_points(d, count, ref_rng)
+    assert got.tobytes() == ref.tobytes()
+    assert got_rng.calls == ref_rng.calls >= 2 * min_batches

@@ -24,7 +24,7 @@ from powertsp.solvers import (
     tsp_exact,
     two_opt,
 )
-from powertsp.weights import edge_weight, make_weight_function, weight_matrix
+from powertsp.weights import _euclid, edge_weight, make_weight_function, weight_matrix
 
 ROOT2 = math.sqrt(2.0)
 EU = make_weight_function("euclidean")
@@ -449,6 +449,24 @@ def test_grid_tour_matches_reference(n):
             start = case % n
             walk = _nn_within(pts, wf, alpha, list(range(n)), start)
             assert walk == reference_nn_within(pts, wf, alpha, list(range(n)), start), (kind, alpha, dens)
+
+
+def test_grid_tour_scores_no_lone_candidate():
+    # entering a cell is the first step of its walk from the chain tail, and
+    # a walk takes its last node unscored: no cost call has a single row
+    rows = []
+
+    def counted(u, v):
+        rows.append(math.prod(np.broadcast_shapes(u.shape[:-1], v.shape[:-1])))
+        return _euclid(u, v)
+
+    wf = make_weight_function("custom", func=counted, c1=1.0, c2=1.0, is_metric=True)
+    n = 1000
+    pts = random_points(n, seed=1)
+    tiling = build_tiling(n, 1.0)
+    g = grid_tour(pts, wf, 1.0, tiling)
+    assert g == grid_tour(pts, EU, 1.0, tiling)
+    assert rows and min(rows) > 1
 
 
 # ---------------------------------------------------------------------------
