@@ -242,7 +242,7 @@ class LatticeRng(CountingRng):
     (4, 16, 1),        # 64 candidates over 16 points: repeats within a batch
     (8, 64, 3),        # every lattice point: repeats across several batches
     (16, 150, 2),
-    (2**20, 1000, 1),  # rare repeats; count is reached 1000 rows into a 1300-row batch
+    (2**20, 1000, 1),  # rare repeats; count is reached partway through a batch
 ])
 @pytest.mark.parametrize("desc", [("uniform", 1.0, 1.0, None), ("checkerboard", 0.5, 1.5, 2)])
 def test_draw_points_dedupe_matches_reference(levels, count, min_batches, desc):
