@@ -329,7 +329,9 @@ def _nn_within(pts: np.ndarray, wf: WeightFunction, alpha: float,
     seq = [entry]
     remaining = [v for v in nodes if v != entry]
     while len(remaining) > 1:
-        w = wf.h_pairs(pts[seq[-1]][None, :], pts[remaining]) ** alpha
+        # the tail as one (2,) point: its coordinates are scalars to the
+        # per-coordinate kernels, cheaper than a (1,) broadcast per call
+        w = wf.h_pairs(pts[seq[-1]], pts[remaining]) ** alpha
         seq.append(remaining.pop(int(w.argmin())))
     return seq + remaining
 

@@ -30,6 +30,9 @@ ROOT2 = math.sqrt(2.0)
 
 BUILTIN_KINDS = ("euclidean", "coordinate_metric", "radial_metric")
 
+# entries per row block of weight_matrix (512 KiB of float64)
+BLOCK = 1 << 16
+
 
 def check_alpha(alpha: float) -> float:
     if not (alpha > 0.0 and math.isfinite(alpha)):
@@ -68,21 +71,25 @@ class WeightFunction:
 
 
 def _euclid(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    d = u - v
-    return np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)
+    dx = u[..., 0] - v[..., 0]
+    dy = u[..., 1] - v[..., 1]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def _coordinate(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.abs((1.0 + u[..., 0]) ** 2 - (1.0 + v[..., 0]) ** 2) + np.abs(
-        (1.0 + u[..., 1]) ** 2 - (1.0 + v[..., 1]) ** 2
-    )
+    ux = 1.0 + u[..., 0]
+    vx = 1.0 + v[..., 0]
+    uy = 1.0 + u[..., 1]
+    vy = 1.0 + v[..., 1]
+    return np.abs(ux * ux - vx * vx) + np.abs(uy * uy - vy * vy)
 
 
 def _radial(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    d = _euclid(u, v)
-    ru = np.sqrt(u[..., 0] ** 2 + u[..., 1] ** 2)
-    rv = np.sqrt(v[..., 0] ** 2 + v[..., 1] ** 2)
-    return d + 0.5 * np.abs(ru - rv)
+    ux, uy = u[..., 0], u[..., 1]
+    vx, vy = v[..., 0], v[..., 1]
+    ru = np.sqrt(ux * ux + uy * uy)
+    rv = np.sqrt(vx * vx + vy * vy)
+    return _euclid(u, v) + 0.5 * np.abs(ru - rv)
 
 
 def make_weight_function(kind: str, **params) -> WeightFunction:
@@ -138,13 +145,19 @@ def edge_weight_pairs(wf: WeightFunction, alpha: float, u: np.ndarray, v: np.nda
 def weight_matrix(wf: WeightFunction, alpha: float, points) -> np.ndarray:
     """Full n x n matrix of edge weights, zero diagonal.
 
-    Every ordered pair is evaluated, so W[i, j] and W[j, i] are
+    The matrix is filled in blocks of whole rows, about ``BLOCK`` entries
+    each, so the peak memory is the matrix plus the temporaries of one
+    block.  Every ordered pair is evaluated, so W[i, j] and W[j, i] are
     bit-identical only because ``func`` is symmetric bit for bit, the
     precondition ``verify_equivalence`` checks.
     """
     check_alpha(alpha)
     pts = as_coords(points)
-    mat = wf.h_pairs(pts[:, None, :], pts[None, :, :]) ** alpha
+    n = len(pts)
+    mat = np.empty((n, n))
+    rows = max(1, BLOCK // max(n, 1))
+    for s in range(0, n, rows):
+        mat[s:s + rows] = wf.h_pairs(pts[s:s + rows, None, :], pts[None, :, :]) ** alpha
     np.fill_diagonal(mat, 0.0)
     return mat
 

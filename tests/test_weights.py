@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powertsp.weights import (
+    BLOCK,
+    BUILTIN_KINDS,
+    _coordinate,
     _euclid,
+    _radial,
     edge_weight,
     edge_weight_pairs,
     make_weight_function,
@@ -111,10 +116,14 @@ def _stretched(u, v):
     return _euclid(u, v) * (1.0 + 0.2 * np.abs(u[..., 0] * v[..., 0]))
 
 
-def test_weight_matrix_symmetric_zero_diagonal():
-    weights = [make_weight_function(kind)
-               for kind in ("euclidean", "coordinate_metric", "radial_metric")]
+def _all_weights():
+    weights = [make_weight_function(kind) for kind in BUILTIN_KINDS]
     weights.append(make_weight_function("custom", func=_stretched, c1=1.0, c2=1.2))
+    return weights
+
+
+def test_weight_matrix_symmetric_zero_diagonal():
+    weights = _all_weights()
     # n = 257 is odd, so vectorised loops run their scalar tails too
     for n, alpha in [(7, 0.7)] + [(257, a) for a in (0.5, 1.0, 1.7, 2.0)]:
         rng = np.random.default_rng(3)
@@ -127,6 +136,93 @@ def test_weight_matrix_symmetric_zero_diagonal():
             # every off-diagonal entry is the pair weight, bit for bit, in both orders
             assert np.array_equal(mat[i, j], edge_weight_pairs(wf, alpha, pts[i], pts[j]))
             assert np.array_equal(mat[i, j], edge_weight_pairs(wf, alpha, pts[j], pts[i]))
+
+
+def _diff_euclid(u, v):
+    # the built-in kernels as they were before the per-coordinate rewrite:
+    # one (..., 2) difference, squared through strided views
+    d = u - v
+    return np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)
+
+
+def _diff_coordinate(u, v):
+    return np.abs((1.0 + u[..., 0]) ** 2 - (1.0 + v[..., 0]) ** 2) + np.abs(
+        (1.0 + u[..., 1]) ** 2 - (1.0 + v[..., 1]) ** 2
+    )
+
+
+def _diff_radial(u, v):
+    d = _diff_euclid(u, v)
+    ru = np.sqrt(u[..., 0] ** 2 + u[..., 1] ** 2)
+    rv = np.sqrt(v[..., 0] ** 2 + v[..., 1] ** 2)
+    return d + 0.5 * np.abs(ru - rv)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_kernels_match_difference_form():
+    pairs = [(_euclid, _diff_euclid), (_coordinate, _diff_coordinate), (_radial, _diff_radial)]
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-0.5, 0.5, size=(300, 2))
+    pts[:3] = [(0.0, 0.0), (-0.5, 0.5), (0.25, -0.0)]
+    for kernel, reference in pairs:
+        # broadcast blocks, matched rows and single (2,) pairs
+        assert _same_bits(kernel(pts[:, None, :], pts[None, :, :]),
+                          reference(pts[:, None, :], pts[None, :, :]))
+        assert _same_bits(kernel(pts, pts[::-1]), reference(pts, pts[::-1]))
+        # the nearest-neighbour walk passes its tail as one (2,) point
+        assert _same_bits(kernel(pts[0], pts[1:]), reference(pts[0][None, :], pts[1:]))
+        for u, v in zip(pts[:20], pts[20:40]):
+            assert _same_bits(kernel(u, v), reference(u, v))
+
+
+def test_weight_matrix_blocks_match_whole_broadcast():
+    # n = 257 and 1000 take several row blocks with a short last one; n <= 3
+    # fits one block.  Every golden report has n <= 64, a single block.
+    assert 257 % (BLOCK // 257) and 1000 % (BLOCK // 1000)
+    for n in (1, 2, 3, 257, 1000):
+        pts = np.random.default_rng(n).uniform(-0.5, 0.5, size=(n, 2))
+        for wf in _all_weights():
+            whole = wf.h_pairs(pts[:, None, :], pts[None, :, :])
+            for alpha in (0.5, 1.0, 1.5, 2.0):
+                ref = whole ** alpha
+                np.fill_diagonal(ref, 0.0)
+                assert _same_bits(weight_matrix(wf, alpha, pts), ref), (wf.kind, n, alpha)
+
+
+def test_weight_matrix_peak_is_matrix_plus_one_block():
+    n = 1024
+    pts = np.random.default_rng(7).uniform(-0.5, 0.5, size=(n, 2))
+    for kind in BUILTIN_KINDS:
+        wf = make_weight_function(kind)
+        tracemalloc.start()
+        try:
+            weight_matrix(wf, 1.5, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * n + 4 * 2**20, (kind, peak)
+
+
+def test_single_pair_weights_are_matrix_entries():
+    # on (2,) inputs the per-coordinate kernels see numpy scalars, which
+    # cannot be written in place; h and edge_weight must still give floats
+    rng = np.random.default_rng(9)
+    pairs = [((0.31, -0.27), (-0.12, 0.44))] + [tuple(map(tuple, p)) for p in
+                                                rng.uniform(-0.5, 0.5, size=(50, 2, 2))]
+    for kind in BUILTIN_KINDS:
+        wf = make_weight_function(kind)
+        for u, v in pairs:
+            h = wf.h(u, v)
+            assert type(h) is float and math.isfinite(h)
+            assert h == edge_weight(wf, 1.0, u, v) == weight_matrix(wf, 1.0, [u, v])[0, 1]
+            # a Python float power, which may differ from numpy's array power
+            # in the last bit at other alphas
+            w = edge_weight(wf, 1.5, u, v)
+            assert type(w) is float and w == h ** 1.5
 
 
 def test_verify_equivalence_builtins_pass():
