@@ -10,9 +10,9 @@ permutation scan shares no code with it.  Constructive solver: the
 cell-chained tour that strings nearest-neighbor paths through dense cells
 (>= 3 nodes) and sparse cells (1-2 nodes) of a tiling in serpentine label
 order and merges the two chains into a spanning cycle.  Plus 2-opt
-polishing, exact/heuristic minimum-weight spanning paths (each solved by
-the tour routines as a cycle through an extra node that costs 0 to reach
-from every node), the in/cross/out decomposition path, and the
+polishing, exact minimum-weight spanning paths up to 16 nodes (each solved
+by the dynamic program as a cycle through an extra node that costs 0 to
+reach from every node), the in/cross/out decomposition path, and the
 dense/sparse label-gap statistics.
 """
 
@@ -45,13 +45,11 @@ class Tour:
 
 @dataclass(frozen=True)
 class SpanningPath:
-    """A spanning path (no wraparound edge); ``exact`` is False when the
-    order came from the nearest-neighbor fallback rather than the DP."""
+    """A minimum-weight spanning path (no wraparound edge)."""
 
     order: tuple[int, ...]
     weight: float
     endpoints: tuple[int, int]
-    exact: bool = True
 
 
 @dataclass(frozen=True)
@@ -77,8 +75,6 @@ class ApproxPathRecord:
     in_weight: float
     cross_weight: float
     out_weight: float
-    in_exact: bool
-    out_exact: bool
 
 
 def _validate_permutation(order, n: int) -> list[int]:
@@ -217,14 +213,11 @@ def tsp_exact(points, wf: WeightFunction, alpha: float) -> Tour:
     return Tour(order=order, weight=tour_weight(pts, order, wf, alpha))
 
 
-def _two_opt_moves(mat: np.ndarray, o: np.ndarray, tol: float, max_passes: int,
-                   pinned: int = 0) -> None:
+def _two_opt_moves(mat: np.ndarray, o: np.ndarray, tol: float, max_passes: int) -> None:
     """Segment reversals on the cycle ``o`` (n >= 4, in place) until no move
     gains more than ``tol`` or the pass budget runs out.  ``o[0]`` never
-    moves; ``pinned = 1`` also keeps ``o[1]``, and with it the edge
-    o[0]–o[1].  The walk runs on the closed array ``w``, whose ``w[n]`` is
-    the fixed ``o[0]``, so the candidate edges (w[j], w[j + 1]) are two
-    slices.
+    moves.  The walk runs on the closed array ``w``, whose ``w[n]`` is the
+    fixed ``o[0]``, so the candidate edges (w[j], w[j + 1]) are two slices.
 
     The edge array ``e[j] = mat[w[j], w[j + 1]]`` carries the tour's edge
     weights, so the row of edge (a, b) = (w[i], w[i + 1]) against the edges
@@ -234,14 +227,13 @@ def _two_opt_moves(mat: np.ndarray, o: np.ndarray, tol: float, max_passes: int,
     the edges inside the segment and rewrites the two at its ends.  The
     reversed edges are read backwards, so ``mat`` must be symmetric bit for
     bit: ``weight_matrix`` is, under its ``func`` precondition that
-    ``verify_equivalence`` checks, and so is its zero-padded anchored
-    form."""
+    ``verify_equivalence`` checks."""
     n = o.size
     w = np.append(o, o[0])
     e = mat[w[:-1], w[1:]]
     for _ in range(max_passes):
         improved = False
-        for i in range(pinned, n - 2):
+        for i in range(n - 2):
             a, b = w[i], w[i + 1]
             hi = n if i > 0 else n - 1  # at i = 0, edge (w[n-1], w[n]) shares a
             delta = mat[a].take(w[i + 2 : hi])
@@ -264,36 +256,25 @@ def _two_opt_moves(mat: np.ndarray, o: np.ndarray, tol: float, max_passes: int,
 def min_weight_spanning_path(
     points, wf: WeightFunction, alpha: float, required_endpoint: int | None = None
 ) -> SpanningPath:
-    """Minimum-weight spanning path, exact (subset DP) up to 16 nodes and
-    nearest-neighbor plus 2-opt beyond; honors a required endpoint.  The
-    path is a cycle through an anchor, node 0, that costs 0 to reach from
-    every node (node v becomes v + 1), with the anchor removed; a required
-    endpoint is the anchor's fixed first neighbour."""
+    """Minimum-weight spanning path by subset DP, up to 16 nodes; honors a
+    required endpoint.  The path is a cycle through an anchor, node 0, that
+    costs 0 to reach from every node (node v becomes v + 1), with the anchor
+    removed; a required endpoint is the anchor's fixed first neighbour."""
     pts = as_coords(points)
     n = pts.shape[0]
-    if n < 1:
-        raise ValueError("a spanning path needs at least 1 node")
+    if not (1 <= n <= EXACT_PATH_MAX_N):
+        raise ValueError(f"a spanning path handles 1 <= n <= {EXACT_PATH_MAX_N} nodes, got {n}")
     if required_endpoint is not None and not (0 <= required_endpoint < n):
         raise ValueError(f"required endpoint {required_endpoint} out of range")
     mat = weight_matrix(wf, alpha, pts)
     anchored = np.pad(mat, ((1, 0), (1, 0)))
-    start = 0 if required_endpoint is None else required_endpoint
-    prefix = [0] if required_endpoint is None else [0, start + 1]
-    exact = n <= EXACT_PATH_MAX_N
-    if exact:
-        cycle = _greedy_reconstruct(anchored, _completion_table(anchored), prefix)
-    else:
-        walk = _nn_within(pts, wf, alpha, list(range(n)), start)
-        o = np.array([0] + [v + 1 for v in walk])
-        tol = 1e-12 * (1.0 + float(np.sum(anchored[o, np.roll(o, -1)])))
-        _two_opt_moves(anchored, o, tol, DEFAULT_TWO_OPT_PASSES, pinned=len(prefix) - 1)
-        cycle = o.tolist()
+    prefix = [0] if required_endpoint is None else [0, required_endpoint + 1]
+    cycle = _greedy_reconstruct(anchored, _completion_table(anchored), prefix)
     order = [v - 1 for v in cycle[1:]]
     if required_endpoint is None and order[0] > order[-1]:
         order = order[::-1]
     weight = float(np.sum(mat[order[:-1], order[1:]]))
-    return SpanningPath(order=tuple(order), weight=weight,
-                        endpoints=(order[0], order[-1]), exact=exact)
+    return SpanningPath(order=tuple(order), weight=weight, endpoints=(order[0], order[-1]))
 
 
 def two_opt(points, tour: Tour, wf: WeightFunction, alpha: float,
@@ -394,7 +375,8 @@ def approx_tsp_path(points, wf: WeightFunction, alpha: float,
     minimum-weight spanning path on the nodes inside it (node 0 always
     counts as inside), crosses to the outside node nearest the square, and
     continues with a minimum-weight spanning path over the outside nodes
-    pinned at that crossing node.
+    starting at that crossing node.  Both sub-paths are exact, so neither
+    side may hold more than 16 nodes.
     """
     check_alpha(alpha)
     pts = as_coords(points)
@@ -443,12 +425,8 @@ def approx_tsp_path(points, wf: WeightFunction, alpha: float,
         in_weight=p_in.weight,
         cross_weight=cross_w,
         out_weight=p_out.weight,
-        in_exact=p_in.exact,
-        out_exact=p_out.exact,
     )
-    path = SpanningPath(order=tuple(order), weight=weight,
-                        endpoints=(order[0], order[-1]),
-                        exact=p_in.exact and p_out.exact)
+    path = SpanningPath(order=tuple(order), weight=weight, endpoints=(order[0], order[-1]))
     return path, record
 
 

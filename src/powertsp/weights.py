@@ -131,9 +131,9 @@ def make_weight_function(kind: str, **params) -> WeightFunction:
 
 
 def edge_weight(wf: WeightFunction, alpha: float, u, v) -> float:
-    """Weight h(u, v)^alpha of the edge between u and v."""
-    check_alpha(alpha)
-    return wf.h(u, v) ** alpha
+    """Weight h(u, v)^alpha of the edge between u and v, bit for bit the
+    entry ``weight_matrix`` holds for the pair."""
+    return float(edge_weight_pairs(wf, alpha, as_coords([u]), as_coords([v]))[0])
 
 
 def edge_weight_pairs(wf: WeightFunction, alpha: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ from itertools import islice, permutations
 import numpy as np
 import pytest
 
-from powertsp.bounds import ModelParams, deviation_constants
+from powertsp import solvers
+from powertsp.bounds import ModelParams, deviation_constants, p_dense
 from powertsp.geometry import build_tiling, cell_index_array
 from powertsp.sampling import build_density, sample_binomial
 from powertsp.solvers import (
@@ -223,7 +224,7 @@ def reference_tour(pts, wf, alpha):
 
 
 def reference_paths(pts, wf, alpha, required_endpoints):
-    """(order, weight, endpoints, exact) per required endpoint, one table."""
+    """(order, weight, endpoints) per required endpoint, one table."""
     n = len(pts)
     mat = weight_matrix(wf, alpha, pts)
     h = reference_table(mat, close_to_start=False)
@@ -239,7 +240,7 @@ def reference_paths(pts, wf, alpha, required_endpoints):
         if required is None and order[0] > order[-1]:
             order = order[::-1]
         weight = float(np.sum(mat[order[:-1], order[1:]]))
-        out.append((tuple(order), weight, (order[0], order[-1]), True))
+        out.append((tuple(order), weight, (order[0], order[-1])))
     return out
 
 
@@ -286,7 +287,7 @@ def test_exact_solvers_match_reference_dp(n):
         endpoints = (None, 0, n - 1)
         for required, ref in zip(endpoints, reference_paths(pts, wf, alpha, endpoints)):
             p = min_weight_spanning_path(pts, wf, alpha, required_endpoint=required)
-            assert (p.order, p.weight, p.endpoints, p.exact) == ref, (kind, alpha, required)
+            assert (p.order, p.weight, p.endpoints) == ref, (kind, alpha, required)
 
 
 # Reference: the permutation scan as a loop over one cycle at a time.  The
@@ -434,7 +435,8 @@ def test_grid_tour_matches_reference(n):
     # uniform and checkerboard points, every tiling side a <= sqrt(n) from
     # {0.5, 1, 2}: at small n a single cell or too few dense cells leave
     # one chain over all occupied cells; beyond the exact path cutoff, also
-    # the path heuristic's walk over all nodes
+    # one walk over all nodes, since a chain's first cell is walked from an
+    # entry inside its own node set
     combos = [(k, al, dens) for k in KINDS for al in ALPHAS for dens in ("uniform", "checkerboard")]
     for case, (kind, alpha, dens) in enumerate(combos):
         wf = make_weight_function(kind)
@@ -507,11 +509,11 @@ def test_two_opt_never_increases_weight():
 # pass must leave the same cycle.
 
 
-def reference_two_opt_moves(mat, o, tol, max_passes, pinned=0):
+def reference_two_opt_moves(mat, o, tol, max_passes):
     n = o.size
     for _ in range(max_passes):
         improved = False
-        for i in range(pinned, n - 2):
+        for i in range(n - 2):
             a, b = o[i], o[i + 1]
             j_hi = n - 1 if i > 0 else n - 2
             js = np.arange(i + 2, j_hi + 1)
@@ -530,8 +532,9 @@ def reference_two_opt_moves(mat, o, tol, max_passes, pinned=0):
 
 
 def small_two_opt_starts(n, rng):
-    """Tours from random starts and nearest-neighbour paths through a pinned
-    anchor, on random points and on the tied lattice."""
+    """Tours from random starts and nearest-neighbour paths through a
+    zero-weight anchor (every edge to it ties), on random points and on the
+    tied lattice."""
     for case, (kind, alpha) in enumerate(zip(KINDS * 2, ALPHAS + ALPHAS[::-1])):
         wf = make_weight_function(kind)
         if case % 2:
@@ -541,9 +544,8 @@ def small_two_opt_starts(n, rng):
         mat = weight_matrix(wf, alpha, pts)
         anchored = np.pad(mat, ((1, 0), (1, 0)))
         walk = _nn_within(pts, wf, alpha, list(range(len(pts))), case % len(pts))
-        yield kind, alpha, mat, rng.permutation(len(pts)), 0
-        yield kind, alpha, anchored, np.array([0] + [v + 1 for v in walk]), 0
-        yield kind, alpha, anchored, np.array([0] + [v + 1 for v in walk]), 1
+        yield kind, alpha, mat, rng.permutation(len(pts))
+        yield kind, alpha, anchored, np.array([0] + [v + 1 for v in walk])
 
 
 def grid_tour_two_opt_starts(n):
@@ -554,7 +556,7 @@ def grid_tour_two_opt_starts(n):
     for kind, alpha in (("coordinate_metric", 1.0), ("radial_metric", 1.5)):
         wf = make_weight_function(kind)
         start = grid_tour(pts, wf, alpha, build_tiling(n, 1.0))
-        yield kind, alpha, weight_matrix(wf, alpha, pts), np.array(start.order), 0
+        yield kind, alpha, weight_matrix(wf, alpha, pts), np.array(start.order)
 
 
 @pytest.mark.parametrize("n", [4, 5, 9, 17, 25, 40, 300])
@@ -565,13 +567,13 @@ def test_two_opt_moves_match_reference(n):
         starts = grid_tour_two_opt_starts(n)
     else:
         starts = small_two_opt_starts(n, np.random.default_rng(4000 + n))
-    for kind, alpha, m, start, pinned in starts:
+    for kind, alpha, m, start in starts:
         tol = 1e-12 * (1.0 + float(np.sum(m[start, np.roll(start, -1)])))
         for passes in (1, 2, 3, 40):
             o, ref = start.copy(), start.copy()
-            _two_opt_moves(m, o, tol, passes, pinned=pinned)
-            reference_two_opt_moves(m, ref, tol, passes, pinned=pinned)
-            assert o.tolist() == ref.tolist(), (kind, alpha, pinned, passes)
+            _two_opt_moves(m, o, tol, passes)
+            reference_two_opt_moves(m, ref, tol, passes)
+            assert o.tolist() == ref.tolist(), (kind, alpha, passes)
 
 
 @pytest.mark.parametrize("bogus", [math.nan, 1e300])
@@ -596,7 +598,6 @@ def test_path_collinear():
     p = min_weight_spanning_path(pts, EU, 1.0)
     assert p.weight == pytest.approx(0.8, abs=1e-12)
     assert set(p.endpoints) == {1, 2}
-    assert p.exact
 
 
 def test_path_single_point():
@@ -634,26 +635,16 @@ def test_path_below_cycle_weight():
         assert p.weight <= c.weight + 1e-12
 
 
-def test_path_heuristic_above_exact_cutoff():
-    # nearest-neighbor walk from the start node, then 2-opt: a permutation
-    # that honours the endpoint and is no heavier than the walk
-    for kind in KINDS:
-        wf = make_weight_function(kind)
-        for n in (17, 20, 40):
-            pts = random_points(n, seed=11 + n)
-            mat = weight_matrix(wf, 1.0, pts)
-            for required in (None, 0, 5, n - 1):
-                p = min_weight_spanning_path(pts, wf, 1.0, required_endpoint=required)
-                assert not p.exact
-                assert sorted(p.order) == list(range(n))
-                assert p.endpoints == (p.order[0], p.order[-1])
-                if required is None:
-                    assert p.order[0] < p.order[-1]
-                else:
-                    assert p.order[0] == required
-                walk = _nn_within(pts, wf, 1.0, list(range(n)), required or 0)
-                assert p.weight == float(np.sum(mat[list(p.order[:-1]), list(p.order[1:])]))
-                assert p.weight <= float(np.sum(mat[walk[:-1], walk[1:]])) * (1.0 + 1e-12)
+def test_path_caps_at_exact_size(monkeypatch):
+    # the size check comes before the matrix: no weight is evaluated
+    def no_matrix(*args):
+        raise AssertionError("weight_matrix called")
+
+    monkeypatch.setattr(solvers, "weight_matrix", no_matrix)
+    with pytest.raises(ValueError, match="16"):
+        min_weight_spanning_path(random_points(EXACT_PATH_MAX_N + 1, seed=11), EU, 1.0)
+    with pytest.raises(ValueError, match="got 0"):
+        min_weight_spanning_path(np.empty((0, 2)), EU, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -692,6 +683,14 @@ def test_approx_path_only_anchor_inside():
     assert rec.n_in == 1
     assert rec.in_weight == 0.0
     assert path.order[0] == 0
+
+
+def test_approx_path_caps_sub_paths():
+    # 20 nodes on a 2 x 2 tiling leave more than 16 outside the center square
+    n = 20
+    pts = random_points(n, seed=1400)
+    with pytest.raises(ValueError, match="16"):
+        approx_tsp_path(pts, EU, 1.0, build_tiling(n, math.sqrt(n) / 2.0))
 
 
 def test_approx_path_degenerate_all_inside():
@@ -741,3 +740,22 @@ def test_gap_statistics_every_cell_dense():
     assert gs.v_alpha == pytest.approx(3.0)  # extended definition, no sparse cell
     assert gs.z_alpha is None
     assert gs.q + gs.l == tiling.cell_count
+
+
+@pytest.mark.parametrize("dens", ["uniform", "checkerboard"])
+@pytest.mark.parametrize("n, a", [(4096, 1.0), (4096, 1.6), (16384, 1.0)])
+def test_dense_cell_share_matches_p_dense(n, a, dens):
+    # a cell of side a/sqrt(n) under density f is dense with probability
+    # about p_dense(a, f); every tiling side here is a multiple of 4, so each
+    # cell lies in one checkerboard square, and half the cells see each value
+    density = build_density("uniform", 1.0, 1.0) if dens == "uniform" else CHECKERBOARD
+    tiling = build_tiling(n, a)
+    assert tiling.cells_per_side % 4 == 0
+    share = np.mean([gap_statistics(sample_binomial(density, n, 7000, (trial,)).points, tiling, 1.0).q
+                     for trial in range(10)]) / tiling.cell_count
+    a_eff = tiling.a_effective
+    if dens == "uniform":
+        predicted = p_dense(a_eff, 1.0)
+    else:
+        predicted = 0.5 * (p_dense(a_eff, 0.5) + p_dense(a_eff, 1.5))
+    assert abs(share - predicted) <= 0.01, (share, predicted)

@@ -219,10 +219,11 @@ def test_single_pair_weights_are_matrix_entries():
             h = wf.h(u, v)
             assert type(h) is float and math.isfinite(h)
             assert h == edge_weight(wf, 1.0, u, v) == weight_matrix(wf, 1.0, [u, v])[0, 1]
-            # a Python float power, which may differ from numpy's array power
-            # in the last bit at other alphas
-            w = edge_weight(wf, 1.5, u, v)
-            assert type(w) is float and w == h ** 1.5
+            # numpy's array power, as in the matrix, not a Python float power,
+            # which differs from it in the last bit at some alphas
+            for alpha in (0.5, 0.7, 1.5, 2.0):
+                w = edge_weight(wf, alpha, u, v)
+                assert type(w) is float and w == weight_matrix(wf, alpha, [u, v])[0, 1]
 
 
 def test_verify_equivalence_builtins_pass():
