@@ -206,7 +206,7 @@ def build_parser() -> Parser:
     add_weight_flags(p)
     p.add_argument("--a", type=float, default=1.0, help="nominal cell-size parameter")
     p.add_argument("--two-opt", action="store_true", dest="two_opt",
-                   help="polish the constructed tour with 2-opt")
+                   help="polish the constructed tour with 2-opt and Or-opt moves")
     p.set_defaults(func=cmd_tour)
 
     p = sub.add_parser("bounds", help="deviation constants C1(A), C2(A)")
@@ -269,9 +269,8 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:  # overflow or underflow on extreme but finite numbers
         print(f"error: numbers out of range: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except MemoryError:  # the dense weight matrix of a large instance
-        print("error: out of memory: the dense n x n weight matrix needs 8*n^2 bytes",
-              file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_VALIDATION
 
 

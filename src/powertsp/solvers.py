@@ -9,11 +9,14 @@ minimum per target node; a cycle's table is indexed by ``mask >> 1``
 permutation scan shares no code with it.  Constructive solver: the
 cell-chained tour that strings nearest-neighbor paths through dense cells
 (>= 3 nodes) and sparse cells (1-2 nodes) of a tiling in serpentine label
-order and merges the two chains into a spanning cycle.  Plus 2-opt
-polishing, exact minimum-weight spanning paths up to 16 nodes (each solved
-by the dynamic program as a cycle through an extra node that costs 0 to
-reach from every node), the in/cross/out decomposition path, and the
-dense/sparse label-gap statistics.
+order and merges the two chains into a spanning cycle.  Local search:
+``two_opt`` polishes a tour with 2-opt and Or-opt moves (segments of 1-3
+nodes) over each node's K = 10 nearest nodes under h, found by an exact
+ring search over a grid, in O(n·K) memory: only the exact solvers build
+the dense n x n matrix.  Plus exact minimum-weight spanning paths up to 16
+nodes (each solved by the dynamic program as a cycle through an extra node
+that costs 0 to reach from every node), the in/cross/out decomposition
+path, and the dense/sparse label-gap statistics.
 """
 
 from __future__ import annotations
@@ -25,13 +28,16 @@ from itertools import permutations
 
 import numpy as np
 
-from .geometry import Tiling, as_coords, cell_bounds, cell_index_array
+from .geometry import HALF, Tiling, as_coords, cell_bounds, cell_index_array, grid_col_row
 from .weights import WeightFunction, check_alpha, edge_weight_pairs, weight_matrix
 
 BRUTEFORCE_MAX_N = 10
 EXACT_TOUR_MAX_N = 18
 EXACT_PATH_MAX_N = 16
-DEFAULT_TWO_OPT_PASSES = 40
+CANDIDATE_K = 10  # candidate list length of two_opt
+CELL_NODES = 2  # mean nodes per cell of the candidate search grid
+SEARCH_PAIRS = 1 << 16  # (node, candidate) pairs scored at once by the candidate search
+EVAL_NODES = 256  # active nodes whose moves two_opt scores at once
 DENSE_CELL_MIN_NODES = 3  # a cell with fewer nodes is sparse
 
 
@@ -213,46 +219,6 @@ def tsp_exact(points, wf: WeightFunction, alpha: float) -> Tour:
     return Tour(order=order, weight=tour_weight(pts, order, wf, alpha))
 
 
-def _two_opt_moves(mat: np.ndarray, o: np.ndarray, tol: float, max_passes: int) -> None:
-    """Segment reversals on the cycle ``o`` (n >= 4, in place) until no move
-    gains more than ``tol`` or the pass budget runs out.  ``o[0]`` never
-    moves.  The walk runs on the closed array ``w``, whose ``w[n]`` is the
-    fixed ``o[0]``, so the candidate edges (w[j], w[j + 1]) are two slices.
-
-    The edge array ``e[j] = mat[w[j], w[j + 1]]`` carries the tour's edge
-    weights, so the row of edge (a, b) = (w[i], w[i + 1]) against the edges
-    (c, d) = (w[j], w[j + 1]) gathers only ``mat[a, c]`` and ``mat[b, d]``;
-    its sums run in the order
-    ``((mat[a, c] + mat[b, d]) - mat[a, b]) - mat[c, d]``.  A move reverses
-    the edges inside the segment and rewrites the two at its ends.  The
-    reversed edges are read backwards, so ``mat`` must be symmetric bit for
-    bit: ``weight_matrix`` is, under its ``func`` precondition that
-    ``verify_equivalence`` checks."""
-    n = o.size
-    w = np.append(o, o[0])
-    e = mat[w[:-1], w[1:]]
-    for _ in range(max_passes):
-        improved = False
-        for i in range(n - 2):
-            a, b = w[i], w[i + 1]
-            hi = n if i > 0 else n - 1  # at i = 0, edge (w[n-1], w[n]) shares a
-            delta = mat[a].take(w[i + 2 : hi])
-            delta += mat[b].take(w[i + 3 : hi + 1])
-            delta -= e[i]
-            delta -= e[i + 2 : hi]
-            k = delta.argmin()
-            if delta[k] < -tol:
-                j = i + 2 + k
-                e[i + 1 : j] = e[i + 1 : j][::-1]
-                e[i] = mat[a, w[j]]
-                e[j] = mat[b, w[j + 1]]
-                w[i + 1 : j + 1] = w[i + 1 : j + 1][::-1]
-                improved = True
-        if not improved:
-            break
-    o[:] = w[:n]
-
-
 def min_weight_spanning_path(
     points, wf: WeightFunction, alpha: float, required_endpoint: int | None = None
 ) -> SpanningPath:
@@ -277,20 +243,279 @@ def min_weight_spanning_path(
     return SpanningPath(order=tuple(order), weight=weight, endpoints=(order[0], order[-1]))
 
 
-def two_opt(points, tour: Tour, wf: WeightFunction, alpha: float,
-            max_passes: int = DEFAULT_TWO_OPT_PASSES) -> Tour:
-    """Polish a tour with segment reversals until a 2-opt local optimum or
-    the pass budget; the weight never increases."""
+def _candidate_lists(pts: np.ndarray, wf: WeightFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's ``CANDIDATE_K`` nearest other nodes under h (every other
+    node when n <= K + 1), nearest first with ties to the lower index, and
+    their h values: two (n, min(K, n - 1)) arrays.
+
+    A ring search over a k x k grid of ``grid_col_row`` cells holding about
+    ``CELL_NODES`` nodes each.  A node's block of (2R + 1)^2 cells around its
+    own holds every node that can beat its K-th best h, h_K, once each block
+    side that the square does not clip lies farther than h_K / c1: c1·d <= h,
+    so a node beyond that side has h > h_K.  Nodes whose block fails the
+    test widen it, R doubling per round.  A round scores its nodes in chunks
+    of about ``SEARCH_PAIRS`` (node, candidate) pairs, which bounds the
+    temporaries.  The lists are exact wherever c1·d <= h holds, which the
+    weight's constants promise on the unit square.
+    """
+    n = pts.shape[0]
+    kk = min(CANDIDATE_K, n - 1)
+    k = max(1, math.isqrt(n // CELL_NODES))
+    col, row = grid_col_row(pts, k)
+    cr = np.maximum(np.stack((col, row), axis=1), 0)  # a cell of the grid, also off the square
+    # the same products grid_col_row floors: coordinates in cell units
+    at = np.stack(((pts[:, 0] + HALF) * k, (HALF - pts[:, 1]) * k), axis=1)
+    cell = cr[:, 1] * k + cr[:, 0]
+    by_cell = np.argsort(cell, kind="stable")
+    start = np.zeros(k * k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cell, minlength=k * k), out=start[1:])
+    nb = np.empty((n, kk), dtype=np.intp)
+    hb = np.empty((n, kk))
+    todo = np.arange(n)
+    radius = 2
+    while todo.size:
+        low, high = cr[todo] - radius, cr[todo] + radius + 1
+        # cells of the block, one row of cells (a run of by_cell) at a time
+        rows = low[:, 1:] + np.arange(2 * radius + 1)
+        first = np.clip(rows, 0, k - 1) * k
+        lo = start[first + np.maximum(low[:, :1], 0)]
+        hi = start[first + np.minimum(high[:, :1], k)]
+        hi[(rows < 0) | (rows >= k)] = lo[(rows < 0) | (rows >= k)]
+        # distance, in cell units, to the nearest block side not clipped by the grid
+        reach = np.where(np.concatenate((low > 0, high < k), axis=1),
+                         np.concatenate((at[todo] - low, high - at[todo]), axis=1),
+                         np.inf).min(axis=1) * (1.0 - 1e-9) * wf.c1 / k
+        done = np.zeros(todo.size, dtype=bool)
+        cum = np.cumsum(hi - lo)  # pairs up to each run, self pairs included
+        a = 0
+        while a < todo.size:
+            base = cum[a * rows.shape[1] - 1] if a else 0
+            b = max(a + 1, int(np.searchsorted(cum, base + SEARCH_PAIRS, side="right"))
+                    // rows.shape[1])
+            lens = (hi[a:b] - lo[a:b]).ravel()
+            offset = np.repeat(lo[a:b].ravel() - (np.cumsum(lens) - lens), lens)
+            cand = by_cell[np.arange(offset.size) + offset]
+            owner = np.repeat(np.arange(b - a).repeat(rows.shape[1]), lens)
+            nodes = todo[a:b]
+            keep = cand != nodes[owner]
+            owner, cand = owner[keep], cand[keep]
+            h = wf.h_pairs(pts[nodes[owner]], pts[cand])
+            count = np.bincount(owner, minlength=b - a)
+            full = count >= kk
+            if full.any():
+                # keep each node's pairs up to its K-th smallest h (ties
+                # included), then order those by (h, index)
+                first = np.cumsum(count) - count
+                table = np.full((b - a, max(kk, count.max())), np.inf)
+                table[owner, np.arange(owner.size) - first[owner]] = h
+                keep = h <= np.partition(table, kk - 1, axis=1)[owner, kk - 1]
+                owner, cand, h = owner[keep], cand[keep], h[keep]
+                count = np.bincount(owner, minlength=b - a)
+                pick = np.lexsort((cand, h, owner))[
+                    (np.cumsum(count) - count)[full, None] + np.arange(kk)]
+                nb[nodes[full]] = cand[pick]
+                hb[nodes[full]] = h[pick]
+                done[a:b][full] = h[pick[:, -1]] < reach[a:b][full]
+            a = b
+        todo = todo[~done]
+        radius *= 2
+    return nb, hb
+
+
+# The move rows of a local-search wave, by tour offset from its node a.
+# Rows 0-4 carry an Or-opt segment of _SEG_LEN[j] nodes with a at one end
+# and its far end z at offset _SEG_Z[j]: rows 0-2 run forward from a, rows
+# 3-4 back.  Rows 5-6 are the 2-opt moves that drop a's edge to b = the
+# node at _SEG_Z[j] (forward, then back) and c's edge the same way.
+_SEG_LEN = np.array([1, 2, 3, 2, 3])
+_SEG_Z = np.array([0, 1, 2, -1, -2, 1, -1])
+_REACH = 3  # the largest offset a row reads: an Or-opt segment's far neighbour
+# The weight a row drops besides c's edge: an Or-opt segment's two outside
+# edges minus the bridge that closes the gap it leaves, or a's 2-opt edge.
+# Each term is a chord (t[p], t[p + d]) of the tour, given as
+# (d - 1, p - pa); row 4 of the chord table is zeros.
+_DROP = np.array([
+    [[0, -1], [0, 0], [1, -1]],
+    [[0, -1], [0, 1], [2, -1]],
+    [[0, -1], [0, 2], [3, -1]],
+    [[0, 0], [0, -2], [2, -2]],
+    [[0, 0], [0, -3], [3, -3]],
+    [[0, 0], [4, 0], [4, 0]],
+    [[0, -1], [4, 0], [4, 0]],
+]).transpose(2, 1, 0)[..., None]
+# Moves that are not moves, as closed ranges of the signed tour offset from a:
+# an Or-opt c or e inside the segment; a 2-opt c at b, its d = e at a, or e
+# on the other side of c than the row's direction.  The penalty table
+# _PENALTY[row, side, c's offset, e's offset] takes offsets clipped to
+# [-3, 3], since no range reaches +-3, and holds -inf for those moves.
+_SEG_SPAN = np.array([[0, 0], [0, 1], [0, 2], [-1, 0], [-2, 0]])
+_BAD_C = np.concatenate((_SEG_SPAN, [[1, 1], [-1, -1]]))
+_BAD_E = np.concatenate((np.repeat(_SEG_SPAN[:, None], 2, axis=1),
+                         [[[0, 0], [-3, 3]], [[-3, 3], [0, 0]]]))
+_OFF = np.arange(-_REACH, _REACH + 1)
+_PENALTY = np.where(
+    ((_BAD_C[:, :1] <= _OFF) & (_OFF <= _BAD_C[:, 1:]))[:, None, :, None]
+    | ((_BAD_E[..., :1] <= _OFF) & (_OFF <= _BAD_E[..., 1:]))[:, :, None, :],
+    -np.inf, 0.0)
+_ROW_SIDE = np.arange(0, _PENALTY.size, _OFF.size ** 2).reshape(7, 2, 1, 1)
+
+
+def _reverse_path(t: np.ndarray, pos: np.ndarray, i: int, j: int) -> None:
+    """Reverse the tour positions i..j (cyclic, forward), or the complementary
+    path when that is shorter: both leave the same cycle."""
+    n = t.size
+    length = (j - i) % n + 1
+    if 2 * length > n:
+        i, length = j + 1, n - length
+    idx = (i + np.arange(length)) % n
+    t[idx] = t[idx[::-1]]
+    pos[t[idx]] = idx
+
+
+def _move_segment(t: np.ndarray, pos: np.ndarray, path: list[int], c: int, e: int) -> None:
+    """Move the tour segment ``path`` (listed from the end that joins c) into
+    the tour edge (c, e), rewriting whichever side of the cycle is shorter."""
+    n, seg = t.size, len(path)
+    if t[(pos[c] + 1) % n] == e:
+        u, x = c, path
+    else:
+        u, x = e, path[::-1]
+    ends = sorted((int(pos[path[0]]), int(pos[path[-1]])))
+    i = ends[0] if ends[1] - ends[0] == seg - 1 else ends[1]  # else it wraps past 0
+    between = (int(pos[u]) - i - seg) % n + 1  # from the segment's end to u
+    if between <= n - seg - between:
+        idx = (i + np.arange(between + seg)) % n
+        new = np.concatenate((t[idx[seg:]], x))
+    else:
+        idx = (pos[u] + 1 + np.arange(n - between)) % n
+        new = np.concatenate((x, t[idx[:n - seg - between]]))
+    t[idx] = new
+    pos[new] = idx
+
+
+def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float,
+                  t: np.ndarray, tol: float) -> None:
+    """2-opt and Or-opt moves on the cycle ``t`` (n >= 4, in place) over each
+    node's candidate list, until no such move gains more than ``tol``.
+
+    Each wave scores every move of its active nodes as whole arrays, in
+    chunks of ``EVAL_NODES`` nodes: the 2-opt moves that join a node a to a
+    candidate c, in both tour directions, and the Or-opt moves that carry a
+    segment of 1-3 nodes ending at a into a tour edge (c, e), e either tour
+    neighbour of c, with a joined to c.  Each node proposes its best move,
+    and the proposals are applied best gain first.  A proposal is skipped
+    when an earlier move of the wave touched one of its nodes (its edges
+    may be gone), or when the two edges of a 2-opt move no longer point the
+    same way (a reversal between them flipped one).  Nodes that a move
+    touched, or whose proposal was skipped, stay active; the others are not
+    scored again until a move touches them (don't-look bits).  A wave that
+    finds nothing is followed by one over every node, and the search ends
+    when that wave finds nothing too.  Every applied move gains more than
+    ``tol``, so the search ends.
+    """
+    n = t.size
+    nb, hb = _candidate_lists(pts, wf)
+    kk = nb.shape[1]
+    # candidate-major copies, so that a chunk's gathers come out contiguous
+    nb_t, w_ac = nb.T.copy(), (hb ** alpha).T.copy()
+    # a segment needs two distinct outside neighbours
+    short = np.append(_SEG_LEN > n - 2, [False, False])[:, None, None, None]
+    penalty = np.where(short, -np.inf, _PENALTY).ravel()
+    # the offset p - pa of a tour position p, as (p - pa) % n + n, to its
+    # signed offset clipped to [-3, 3], as 0..6; then times 7, for c
+    klass = np.clip((np.arange(2 * n) + n // 2) % n - n // 2, -_REACH, _REACH) + _REACH
+    klass_c = klass * _OFF.size
+    ahead = (np.arange(n) + np.arange(1, 5)[:, None]) % n
+    pos = np.empty(n, dtype=np.intp)
+    pos[t] = np.arange(n)
+    active = np.arange(n)
+    every = True
+    while True:
+        chord = np.zeros((5, n))
+        chord[:4] = wf.h_pairs(pts[t], pts[t[ahead]]) ** alpha
+        nxt = t[ahead[0]]
+        ends = np.empty((2, n), dtype=np.intp)  # (succ v, pred v)
+        ends[0, t] = nxt
+        ends[1, nxt] = t
+        ew = np.empty((2, n))  # (w(v, succ v), w(pred v, v))
+        ew[0, t] = chord[0]
+        ew[1, nxt] = chord[0]
+        found = []
+        # arrays run (row, side of c, candidate, node): the node axis last
+        # and contiguous, so that every broadcast has long inner loops
+        for s in range(0, active.size, EVAL_NODES):
+            a = active[s:s + EVAL_NODES]
+            pa = pos[a]
+            near = t[(pa + _OFF[:, None]) % n]  # the nodes at offsets -3..3
+            c = nb_t.take(a, axis=1)
+            e = ends.take(c, axis=1)
+            drop = chord.take(_DROP[0] * n + (pa + _DROP[1]) % n)
+            gain = ((drop[0] + drop[1] - drop[2])[:, None, None]
+                    + (ew.take(c, axis=1) - w_ac.take(a, axis=1))) \
+                - wf.h_pairs(pts[near[_SEG_Z + _REACH]][:, None, None], pts[e]) ** alpha
+            rel = n - pa
+            gain += penalty.take(_ROW_SIDE + (klass_c[pos[c] + rel] + klass[pos[e] + rel]))
+            gain = gain.reshape(-1, a.size)
+            best = gain.argmax(axis=0)
+            gbest = gain[best, np.arange(a.size)]
+            hit = gbest > tol
+            found.append((gbest[hit], a[hit], best[hit], near[:, hit].T))
+        gains = np.concatenate([f[0] for f in found])
+        if not gains.size:
+            if every:
+                return
+            active, every = np.arange(n), True
+            continue
+        a_hit, code, near = (np.concatenate([f[i] for f in found]).tolist() for i in (1, 2, 3))
+        touched = bytearray(n)
+        kept = []
+        for i in np.argsort(-gains, kind="stable").tolist():
+            a, at = a_hit[i], near[i]
+            j, rest = divmod(code[i], 2 * kk)
+            side, k = divmod(rest, kk)
+            c = int(nb[a, k])
+            e = int(ends[side, c])
+            if j < 5:  # Or-opt: segment j into the edge (c, e)
+                step, length = (1 if j < 3 else -1), int(_SEG_LEN[j])
+                path = at[_REACH:_REACH + step * length:step]
+                nodes = path + [at[_REACH - step], at[_REACH + step * length], c, e]
+            else:  # 2-opt: edges (a, b) and (c, e) become (a, c) and (b, e)
+                b = at[_REACH + _SEG_Z[j]]
+                nodes = [a, b, c, e]
+            if any(touched[v] for v in nodes):
+                kept.append(a)
+                continue
+            if j < 5:
+                _move_segment(t, pos, path, c, e)
+            elif t[(pos[a] + 1) % n] == b and t[(pos[c] + 1) % n] == e:
+                _reverse_path(t, pos, int(pos[b]), int(pos[c]))
+            elif t[pos[a] - 1] == b and t[pos[c] - 1] == e:
+                _reverse_path(t, pos, int(pos[a]), int(pos[e]))
+            else:
+                kept.append(a)
+                continue
+            for v in nodes:
+                touched[v] = 1
+        mark = np.frombuffer(touched, dtype=np.uint8).copy()
+        mark[kept] = 1
+        active = np.flatnonzero(mark)
+        every = active.size == n
+
+
+def two_opt(points, tour: Tour, wf: WeightFunction, alpha: float) -> Tour:
+    """Polish a tour with 2-opt and Or-opt moves (segments of 1-3 nodes,
+    both orientations) over each node's ``CANDIDATE_K`` nearest nodes under
+    h, until no such move gains more than a tolerance relative to the
+    tour's weight.  Memory is O(n·K): no n x n matrix is built.  The weight
+    never increases."""
     pts = as_coords(points)
     n = pts.shape[0]
     order = _validate_permutation(tour.order, n)
-    if n < 4:
-        order = canonical_cycle(order)
-        return Tour(order=order, weight=tour_weight(pts, order, wf, alpha))
-    o = np.asarray(order)
-    tol = 1e-12 * (1.0 + tour_weight(pts, order, wf, alpha))
-    _two_opt_moves(weight_matrix(wf, alpha, pts), o, tol, max_passes)
-    order = canonical_cycle(int(v) for v in o)
+    if n >= 4:
+        t = np.asarray(order, dtype=np.intp)
+        _local_search(pts, wf, alpha, t, 1e-12 * (1.0 + tour_weight(pts, order, wf, alpha)))
+        order = t.tolist()
+    order = canonical_cycle(order)
     return Tour(order=order, weight=tour_weight(pts, order, wf, alpha))
 
 

@@ -163,16 +163,16 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 
 def test_out_of_memory_exits_with_a_message(capsys, corners_file, monkeypatch):
-    # stands in for the n x n matrix of a large CSV; nothing large is allocated
+    # stands in for a CSV too large to polish; nothing large is allocated
     def no_memory(*args):
         raise MemoryError
 
-    monkeypatch.setattr("powertsp.solvers.weight_matrix", no_memory)
+    monkeypatch.setattr("powertsp.cli.two_opt", no_memory)
     code, out, err = run_cli(capsys, "tour", "--points", corners_file, "--weight", "euclidean",
                              "--alpha", "1", "--a", "1", "--two-opt")
     assert code == 1
     assert out == ""
-    assert "out of memory" in err and "8*n^2 bytes" in err
+    assert "out of memory" in err
     assert "Traceback" not in err
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from array import array
 from itertools import islice, permutations
 
@@ -14,7 +15,8 @@ from powertsp.solvers import (
     Tour,
     _completion_table,
     _nn_within,
-    _two_opt_moves,
+    CANDIDATE_K,
+    _candidate_lists,
     approx_tsp_path,
     canonical_cycle,
     gap_statistics,
@@ -501,12 +503,9 @@ def test_two_opt_never_increases_weight():
         assert sorted(p.order) == list(range(n))
 
 
-# Reference: the sweep with candidate indices from np.arange, successors by
-# modulo, and all four weights of a candidate gathered from the matrix on
-# every row.  The kernel instead carries the tour's edge weights in an edge
-# array that each move rewrites (the segment's edges reversed, the two at its
-# ends replaced); it sums the same four weights in the same order, so every
-# pass must leave the same cycle.
+# Dense baseline: the sweep of the O(n^2) 2-opt over the full weight matrix,
+# with candidate indices from np.arange, successors by modulo, and all four
+# weights of a candidate gathered from the matrix on every row.
 
 
 def reference_two_opt_moves(mat, o, tol, max_passes):
@@ -532,48 +531,151 @@ def reference_two_opt_moves(mat, o, tol, max_passes):
 
 
 def small_two_opt_starts(n, rng):
-    """Tours from random starts and nearest-neighbour paths through a
-    zero-weight anchor (every edge to it ties), on random points and on the
-    tied lattice."""
+    """Tours from random starts and nearest-neighbour walks, on random points
+    and on the tied lattice."""
     for case, (kind, alpha) in enumerate(zip(KINDS * 2, ALPHAS + ALPHAS[::-1])):
         wf = make_weight_function(kind)
         if case % 2:
             pts = LATTICE[rng.choice(len(LATTICE), size=min(n, len(LATTICE)), replace=False)]
         else:
             pts = random_points(n, seed=4000 * n + case)
-        mat = weight_matrix(wf, alpha, pts)
-        anchored = np.pad(mat, ((1, 0), (1, 0)))
         walk = _nn_within(pts, wf, alpha, list(range(len(pts))), case % len(pts))
-        yield kind, alpha, mat, rng.permutation(len(pts))
-        yield kind, alpha, anchored, np.array([0] + [v + 1 for v in walk])
+        yield kind, alpha, pts, rng.permutation(len(pts))
+        yield kind, alpha, pts, np.array(walk)
 
 
 def grid_tour_two_opt_starts(n):
-    """grid_tour cycles under the coordinate and radial kinds: several
-    passes with long reversals, so later passes read an edge array that
-    earlier moves rewrote."""
+    """grid_tour cycles under the coordinate and radial kinds."""
     pts = random_points(n, seed=4000 * n)
     for kind, alpha in (("coordinate_metric", 1.0), ("radial_metric", 1.5)):
         wf = make_weight_function(kind)
-        start = grid_tour(pts, wf, alpha, build_tiling(n, 1.0))
-        yield kind, alpha, weight_matrix(wf, alpha, pts), np.array(start.order)
+        yield kind, alpha, pts, np.array(grid_tour(pts, wf, alpha, build_tiling(n, 1.0)).order)
+
+
+def reference_candidates(pts, wf):
+    """Each node's K nearest other nodes by a stable argsort of its row of
+    the dense h matrix: ties go to the lower index."""
+    n = len(pts)
+    h = wf.h_pairs(pts[:, None, :], pts[None, :, :])
+    kk = min(CANDIDATE_K, n - 1)
+    nb = np.array([[j for j in np.argsort(h[i], kind="stable") if j != i][:kk] for i in range(n)])
+    return nb.reshape(n, kk), np.take_along_axis(h, nb.reshape(n, kk), axis=1)
+
+
+def candidate_point_sets():
+    rng = np.random.default_rng(77)
+    yield "random", random_points(500, seed=77)
+    yield "lattice", LATTICE
+    # every point on the square's boundary, corners included
+    side = np.linspace(-0.5, 0.5, 9)
+    edge = np.concatenate([np.stack((side, np.full(9, y)), 1) for y in (-0.5, 0.5)]
+                          + [np.stack((np.full(7, x), side[1:-1]), 1) for x in (-0.5, 0.5)])
+    yield "edge", edge
+    # a tight cluster with a few far points: the far ones widen their ring
+    cluster = np.concatenate((rng.uniform(-0.5, -0.45, size=(200, 2)),
+                              rng.uniform(-0.5, 0.5, size=(12, 2))))
+    yield "cluster", cluster
+    for n in (2, 3, 5, CANDIDATE_K, CANDIDATE_K + 1, CANDIDATE_K + 2):
+        yield f"n={n}", random_points(n, seed=78 + n)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_candidate_lists_match_argsort(kind):
+    wf = make_weight_function(kind)
+    for label, pts in candidate_point_sets():
+        nb, hb = _candidate_lists(pts, wf)
+        ref_nb, ref_hb = reference_candidates(pts, wf)
+        assert nb.tolist() == ref_nb.tolist(), label
+        assert hb.tolist() == ref_hb.tolist(), label
+
+
+def _two_opt_gains(pts, wf, alpha, order, nb):
+    """Test-side scan: the gain of every 2-opt move (edges (a, b) and (c, d)
+    become (a, c) and (b, d), both tour directions) and every Or-opt move
+    (a segment of 1-3 nodes with a at one end, joined to c inside the tour
+    edge (c, e)) over the candidate pairs (a, c)."""
+    n = len(order)
+    w = weight_matrix(wf, alpha, pts)
+    at = {v: i for i, v in enumerate(order)}
+
+    def step(v, s):
+        return order[(at[v] + s) % n]
+
+    for a in range(n):
+        for c in nb[a].tolist():
+            for s in (1, -1):
+                b, d = step(a, s), step(c, s)
+                if c != b and d != a:
+                    yield w[a, b] + w[c, d] - w[a, c] - w[b, d]
+            for s in (1, -1):
+                for length in (1, 2, 3):
+                    if length > n - 2:
+                        continue
+                    seg = [step(a, s * i) for i in range(length)]
+                    z, ra, rz = seg[-1], step(a, -s), step(seg[-1], s)
+                    if c in seg:
+                        continue
+                    for e in (step(c, 1), step(c, -1)):
+                        if e not in seg:
+                            yield (w[ra, a] + w[z, rz] - w[ra, rz]
+                                   + w[c, e] - w[c, a] - w[z, e])
 
 
 @pytest.mark.parametrize("n", [4, 5, 9, 17, 25, 40, 300])
-def test_two_opt_moves_match_reference(n):
-    # every pass budget up to 3, then the full one, so each pass's moves are
-    # compared
+def test_two_opt_local_optimum_over_candidates(n):
+    # a lighter permutation with no 2-opt or Or-opt move over the candidate
+    # pairs that gains more than the search's tolerance
     if n == 300:
         starts = grid_tour_two_opt_starts(n)
     else:
         starts = small_two_opt_starts(n, np.random.default_rng(4000 + n))
-    for kind, alpha, m, start in starts:
-        tol = 1e-12 * (1.0 + float(np.sum(m[start, np.roll(start, -1)])))
-        for passes in (1, 2, 3, 40):
-            o, ref = start.copy(), start.copy()
-            _two_opt_moves(m, o, tol, passes)
-            reference_two_opt_moves(m, ref, tol, passes)
-            assert o.tolist() == ref.tolist(), (kind, alpha, passes)
+    for kind, alpha, pts, start in starts:
+        wf = make_weight_function(kind)
+        before = tour_weight(pts, start, wf, alpha)
+        p = two_opt(pts, Tour(order=tuple(start.tolist()), weight=before), wf, alpha)
+        assert sorted(p.order) == list(range(len(pts)))
+        assert p.weight <= before * (1 + 1e-12), (kind, alpha)
+        tol = 1e-12 * (1.0 + before)
+        nb, _ = reference_candidates(pts, wf)
+        best = max(_two_opt_gains(pts, wf, alpha, list(p.order), nb), default=0.0)
+        assert best <= tol, (kind, alpha, best)
+
+
+def test_two_opt_no_heavier_than_dense_reference():
+    # 2-opt + Or-opt over candidates against the full O(n^2) 2-opt sweep
+    ours, dense = [], []
+    for kind, alpha, pts, start in grid_tour_two_opt_starts(300):
+        wf = make_weight_function(kind)
+        mat = weight_matrix(wf, alpha, pts)
+        tol = 1e-12 * (1.0 + tour_weight(pts, start, wf, alpha))
+        ref = start.copy()
+        reference_two_opt_moves(mat, ref, tol, 40)
+        dense.append(tour_weight(pts, ref, wf, alpha))
+        ours.append(two_opt(pts, Tour(tuple(start.tolist()), 0.0), wf, alpha).weight)
+    assert np.mean(ours) <= np.mean(dense)
+
+
+def test_two_opt_memory_is_linear():
+    # the old dense matrix alone took 8 n^2 bytes, 128 MiB at n = 4096
+    n = 4096
+    pts = random_points(n, seed=4096)
+    g = grid_tour(pts, EU, 1.0, build_tiling(n, 1.0))
+    tracemalloc.start()
+    try:
+        p = two_opt(pts, g, EU, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p.weight < g.weight
+    assert peak < 16 * 2**20
+
+
+def test_two_opt_deterministic():
+    n = 1000
+    pts = random_points(n, seed=1000)
+    wf = make_weight_function("radial_metric")
+    g = grid_tour(pts, wf, 1.5, build_tiling(n, 1.0))
+    assert two_opt(pts, g, wf, 1.5).order == two_opt(pts, g, wf, 1.5).order
 
 
 @pytest.mark.parametrize("bogus", [math.nan, 1e300])
