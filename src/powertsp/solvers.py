@@ -38,6 +38,10 @@ CANDIDATE_K = 10  # candidate list length of two_opt
 CELL_NODES = 2  # mean nodes per cell of the candidate search grid
 SEARCH_PAIRS = 1 << 16  # (node, candidate) pairs scored at once by the candidate search
 EVAL_NODES = 256  # active nodes whose moves two_opt scores at once
+# A wave of two_opt scores every node when at most this many are inactive:
+# a wave's fixed cost is about that many nodes' scoring, and a wave over
+# every node that finds nothing ends the search.
+FULL_WAVE_SLACK = 32
 DENSE_CELL_MIN_NODES = 3  # a cell with fewer nodes is sparse
 
 
@@ -243,6 +247,9 @@ def min_weight_spanning_path(
     return SpanningPath(order=tuple(order), weight=weight, endpoints=(order[0], order[-1]))
 
 
+_FLIP_Y = np.array([1.0, -1.0])
+
+
 def _candidate_lists(pts: np.ndarray, wf: WeightFunction) -> tuple[np.ndarray, np.ndarray]:
     """Each node's ``CANDIDATE_K`` nearest other nodes under h (every other
     node when n <= K + 1), nearest first with ties to the lower index, and
@@ -261,14 +268,15 @@ def _candidate_lists(pts: np.ndarray, wf: WeightFunction) -> tuple[np.ndarray, n
     n = pts.shape[0]
     kk = min(CANDIDATE_K, n - 1)
     k = max(1, math.isqrt(n // CELL_NODES))
-    col, row = grid_col_row(pts, k)
-    cr = np.maximum(np.stack((col, row), axis=1), 0)  # a cell of the grid, also off the square
+    cr = np.empty((n, 2), dtype=np.int64)  # column and row of each node's cell
+    cr[:, 0], cr[:, 1] = grid_col_row(pts, k)
+    np.maximum(cr, 0, out=cr)  # a cell of the grid, also off the square
     # the same products grid_col_row floors: coordinates in cell units
-    at = np.stack(((pts[:, 0] + HALF) * k, (HALF - pts[:, 1]) * k), axis=1)
+    at = (pts * _FLIP_Y + HALF) * k
     cell = cr[:, 1] * k + cr[:, 0]
-    by_cell = np.argsort(cell, kind="stable")
+    by_cell = cell.argsort(kind="stable")
     start = np.zeros(k * k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cell, minlength=k * k), out=start[1:])
+    np.bincount(cell, minlength=k * k).cumsum(out=start[1:])
     nb = np.empty((n, kk), dtype=np.intp)
     hb = np.empty((n, kk))
     todo = np.arange(n)
@@ -277,25 +285,24 @@ def _candidate_lists(pts: np.ndarray, wf: WeightFunction) -> tuple[np.ndarray, n
         low, high = cr[todo] - radius, cr[todo] + radius + 1
         # cells of the block, one row of cells (a run of by_cell) at a time
         rows = low[:, 1:] + np.arange(2 * radius + 1)
-        first = np.clip(rows, 0, k - 1) * k
+        first = np.minimum(np.maximum(rows, 0), k - 1) * k
         lo = start[first + np.maximum(low[:, :1], 0)]
-        hi = start[first + np.minimum(high[:, :1], k)]
-        hi[(rows < 0) | (rows >= k)] = lo[(rows < 0) | (rows >= k)]
+        hi = np.where((rows >= 0) & (rows < k), start[first + np.minimum(high[:, :1], k)], lo)
         # distance, in cell units, to the nearest block side not clipped by the grid
         reach = np.where(np.concatenate((low > 0, high < k), axis=1),
                          np.concatenate((at[todo] - low, high - at[todo]), axis=1),
                          np.inf).min(axis=1) * (1.0 - 1e-9) * wf.c1 / k
         done = np.zeros(todo.size, dtype=bool)
-        cum = np.cumsum(hi - lo)  # pairs up to each run, self pairs included
+        cum = (hi - lo).cumsum()  # pairs up to each run, self pairs included
         a = 0
         while a < todo.size:
             base = cum[a * rows.shape[1] - 1] if a else 0
-            b = max(a + 1, int(np.searchsorted(cum, base + SEARCH_PAIRS, side="right"))
+            b = max(a + 1, int(cum.searchsorted(base + SEARCH_PAIRS, side="right"))
                     // rows.shape[1])
             lens = (hi[a:b] - lo[a:b]).ravel()
-            offset = np.repeat(lo[a:b].ravel() - (np.cumsum(lens) - lens), lens)
+            offset = (lo[a:b].ravel() - (lens.cumsum() - lens)).repeat(lens)
             cand = by_cell[np.arange(offset.size) + offset]
-            owner = np.repeat(np.arange(b - a).repeat(rows.shape[1]), lens)
+            owner = np.arange(b - a).repeat(rows.shape[1]).repeat(lens)
             nodes = todo[a:b]
             keep = cand != nodes[owner]
             owner, cand = owner[keep], cand[keep]
@@ -305,14 +312,15 @@ def _candidate_lists(pts: np.ndarray, wf: WeightFunction) -> tuple[np.ndarray, n
             if full.any():
                 # keep each node's pairs up to its K-th smallest h (ties
                 # included), then order those by (h, index)
-                first = np.cumsum(count) - count
-                table = np.full((b - a, max(kk, count.max())), np.inf)
-                table[owner, np.arange(owner.size) - first[owner]] = h
-                keep = h <= np.partition(table, kk - 1, axis=1)[owner, kk - 1]
+                table = np.empty((b - a, max(kk, count.max())))
+                table.fill(np.inf)
+                table[owner, np.arange(owner.size) - (count.cumsum() - count)[owner]] = h
+                table.partition(kk - 1, axis=1)
+                keep = h <= table[owner, kk - 1]
                 owner, cand, h = owner[keep], cand[keep], h[keep]
                 count = np.bincount(owner, minlength=b - a)
                 pick = np.lexsort((cand, h, owner))[
-                    (np.cumsum(count) - count)[full, None] + np.arange(kk)]
+                    (count.cumsum() - count)[full, None] + np.arange(kk)]
                 nb[nodes[full]] = cand[pick]
                 hb[nodes[full]] = h[pick]
                 done[a:b][full] = h[pick[:, -1]] < reach[a:b][full]
@@ -327,9 +335,10 @@ def _candidate_lists(pts: np.ndarray, wf: WeightFunction) -> tuple[np.ndarray, n
 # and its far end z at offset _SEG_Z[j]: rows 0-2 run forward from a, rows
 # 3-4 back.  Rows 5-6 are the 2-opt moves that drop a's edge to b = the
 # node at _SEG_Z[j] (forward, then back) and c's edge the same way.
-_SEG_LEN = np.array([1, 2, 3, 2, 3])
+_SEG_LEN = np.array([1, 2, 3, 2, 3, 0, 0])
 _SEG_Z = np.array([0, 1, 2, -1, -2, 1, -1])
 _REACH = 3  # the largest offset a row reads: an Or-opt segment's far neighbour
+_Z_ROW = _SEG_Z + _REACH  # z's row among the nodes at offsets -3..3
 # The weight a row drops besides c's edge: an Or-opt segment's two outside
 # edges minus the bridge that closes the gap it leaves, or a's 2-opt edge.
 # Each term is a chord (t[p], t[p + d]) of the tour, given as
@@ -393,10 +402,10 @@ def _move_segment(t: np.ndarray, pos: np.ndarray, path: list[int], c: int, e: in
     pos[new] = idx
 
 
-def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float,
-                  t: np.ndarray, tol: float) -> None:
+def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarray) -> None:
     """2-opt and Or-opt moves on the cycle ``t`` (n >= 4, in place) over each
-    node's candidate list, until no such move gains more than ``tol``.
+    node's candidate list, until no such move gains more than
+    tol = 1e-12·(1 + the start tour's weight).
 
     Each wave scores every move of its active nodes as whole arrays, in
     chunks of ``EVAL_NODES`` nodes: the 2-opt moves that join a node a to a
@@ -408,10 +417,11 @@ def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float,
     may be gone), or when the two edges of a 2-opt move no longer point the
     same way (a reversal between them flipped one).  Nodes that a move
     touched, or whose proposal was skipped, stay active; the others are not
-    scored again until a move touches them (don't-look bits).  A wave that
-    finds nothing is followed by one over every node, and the search ends
-    when that wave finds nothing too.  Every applied move gains more than
-    ``tol``, so the search ends.
+    scored again until a move touches them (don't-look bits), unless at
+    most ``FULL_WAVE_SLACK`` nodes would sit out.  A wave that finds nothing
+    is followed by one over every node, and the search ends when a wave
+    over every node finds nothing.  Every applied move gains more than
+    tol, so the search ends.
     """
     n = t.size
     nb, hb = _candidate_lists(pts, wf)
@@ -419,27 +429,34 @@ def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float,
     # candidate-major copies, so that a chunk's gathers come out contiguous
     nb_t, w_ac = nb.T.copy(), (hb ** alpha).T.copy()
     # a segment needs two distinct outside neighbours
-    short = np.append(_SEG_LEN > n - 2, [False, False])[:, None, None, None]
-    penalty = np.where(short, -np.inf, _PENALTY).ravel()
-    # the offset p - pa of a tour position p, as (p - pa) % n + n, to its
-    # signed offset clipped to [-3, 3], as 0..6; then times 7, for c
-    klass = np.clip((np.arange(2 * n) + n // 2) % n - n // 2, -_REACH, _REACH) + _REACH
-    klass_c = klass * _OFF.size
+    penalty = np.where((_SEG_LEN > n - 2)[:, None, None, None], -np.inf, _PENALTY).ravel()
+    # c's tour offset from a, as pos[c] - pa + n - 1, to the penalty-table
+    # columns of (c's offset, e's offset) for e = succ c, then e = pred c:
+    # off[x] is the offset x - n, signed mod n and clipped to [-3, 3]
+    off = (np.arange(2 * n + 1) + n // 2) % n - n // 2
+    off = np.minimum(np.maximum(off, -_REACH), _REACH) + _REACH
+    columns = off[1:-1] * _OFF.size + np.stack((off[2:], off[:-2]))
     ahead = (np.arange(n) + np.arange(1, 5)[:, None]) % n
     pos = np.empty(n, dtype=np.intp)
     pos[t] = np.arange(n)
+    drop_at = _DROP[0] * n
+    chord = np.zeros((5, n))
+    ends = np.empty((2, n), dtype=np.intp)  # (succ v, pred v)
+    ew = np.empty((2, n))  # (w(v, succ v), w(pred v, v))
+
+    def read_tour():
+        chord[:4] = wf.h_pairs(pts[t], pts[t[ahead]]) ** alpha
+        nxt = t[ahead[0]]
+        ends[0, t] = nxt
+        ends[1, nxt] = t
+        ew[0, t] = chord[0]
+        ew[1, nxt] = chord[0]
+
+    read_tour()
+    tol = 1e-12 * (1.0 + chord[0].sum())  # the edges summed as tour_weight sums them
     active = np.arange(n)
     every = True
     while True:
-        chord = np.zeros((5, n))
-        chord[:4] = wf.h_pairs(pts[t], pts[t[ahead]]) ** alpha
-        nxt = t[ahead[0]]
-        ends = np.empty((2, n), dtype=np.intp)  # (succ v, pred v)
-        ends[0, t] = nxt
-        ends[1, nxt] = t
-        ew = np.empty((2, n))  # (w(v, succ v), w(pred v, v))
-        ew[0, t] = chord[0]
-        ew[1, nxt] = chord[0]
         found = []
         # arrays run (row, side of c, candidate, node): the node axis last
         # and contiguous, so that every broadcast has long inner loops
@@ -449,12 +466,11 @@ def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float,
             near = t[(pa + _OFF[:, None]) % n]  # the nodes at offsets -3..3
             c = nb_t.take(a, axis=1)
             e = ends.take(c, axis=1)
-            drop = chord.take(_DROP[0] * n + (pa + _DROP[1]) % n)
+            drop = chord.take(drop_at + (pa + _DROP[1]) % n)
             gain = ((drop[0] + drop[1] - drop[2])[:, None, None]
                     + (ew.take(c, axis=1) - w_ac.take(a, axis=1))) \
-                - wf.h_pairs(pts[near[_SEG_Z + _REACH]][:, None, None], pts[e]) ** alpha
-            rel = n - pa
-            gain += penalty.take(_ROW_SIDE + (klass_c[pos[c] + rel] + klass[pos[e] + rel]))
+                - wf.h_pairs(pts[near[_Z_ROW]][:, None, None], pts[e]) ** alpha
+            gain += penalty.take(_ROW_SIDE + columns.take(pos[c] + (n - 1 - pa), axis=1))
             gain = gain.reshape(-1, a.size)
             best = gain.argmax(axis=0)
             gbest = gain[best, np.arange(a.size)]
@@ -466,11 +482,12 @@ def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float,
                 return
             active, every = np.arange(n), True
             continue
-        a_hit, code, near = (np.concatenate([f[i] for f in found]).tolist() for i in (1, 2, 3))
+        a_hit, code, near_hit = (np.concatenate([f[i] for f in found]).tolist()
+                                 for i in (1, 2, 3))
         touched = bytearray(n)
         kept = []
-        for i in np.argsort(-gains, kind="stable").tolist():
-            a, at = a_hit[i], near[i]
+        for i in (-gains).argsort(kind="stable").tolist():
+            a, at = a_hit[i], near_hit[i]
             j, rest = divmod(code[i], 2 * kk)
             side, k = divmod(rest, kk)
             c = int(nb[a, k])
@@ -496,9 +513,12 @@ def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float,
                 continue
             for v in nodes:
                 touched[v] = 1
+        read_tour()
         mark = np.frombuffer(touched, dtype=np.uint8).copy()
         mark[kept] = 1
-        active = np.flatnonzero(mark)
+        active = mark.nonzero()[0]
+        if active.size + FULL_WAVE_SLACK >= n:
+            active = np.arange(n)
         every = active.size == n
 
 
@@ -508,12 +528,13 @@ def two_opt(points, tour: Tour, wf: WeightFunction, alpha: float) -> Tour:
     h, until no such move gains more than a tolerance relative to the
     tour's weight.  Memory is O(n·K): no n x n matrix is built.  The weight
     never increases."""
+    check_alpha(alpha)
     pts = as_coords(points)
     n = pts.shape[0]
     order = _validate_permutation(tour.order, n)
     if n >= 4:
         t = np.asarray(order, dtype=np.intp)
-        _local_search(pts, wf, alpha, t, 1e-12 * (1.0 + tour_weight(pts, order, wf, alpha)))
+        _local_search(pts, wf, alpha, t)
         order = t.tolist()
     order = canonical_cycle(order)
     return Tour(order=order, weight=tour_weight(pts, order, wf, alpha))

@@ -11,12 +11,12 @@ from powertsp.bounds import ModelParams, deviation_constants, p_dense
 from powertsp.geometry import build_tiling, cell_index_array
 from powertsp.sampling import build_density, sample_binomial
 from powertsp.solvers import (
+    CANDIDATE_K,
     EXACT_PATH_MAX_N,
     Tour,
+    _candidate_lists,
     _completion_table,
     _nn_within,
-    CANDIDATE_K,
-    _candidate_lists,
     approx_tsp_path,
     canonical_cycle,
     gap_statistics,
