@@ -579,8 +579,11 @@ def candidate_point_sets():
         yield f"n={n}", random_points(n, seed=78 + n)
 
 
+@pytest.mark.parametrize("pairs", [solvers.SEARCH_PAIRS, 64])
 @pytest.mark.parametrize("kind", KINDS)
-def test_candidate_lists_match_argsort(kind):
+def test_candidate_lists_match_argsort(kind, pairs, monkeypatch):
+    # 64 pairs per chunk splits every round into many chunks
+    monkeypatch.setattr(solvers, "SEARCH_PAIRS", pairs)
     wf = make_weight_function(kind)
     for label, pts in candidate_point_sets():
         nb, hb = _candidate_lists(pts, wf)
