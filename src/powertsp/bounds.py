@@ -247,10 +247,10 @@ def lower_rate_objective(a: float, alpha: float, eps1: float, eps2: float) -> fl
     return _c1_formula(a, alpha, eps1, eps2, 1.0)
 
 
-def upper_rate_objective(a: float, alpha: float, eps1: float, eps2: float, tol: float = 1e-9) -> float:
-    """beta_up integrand: C2(A) with c2 = 1."""
+def upper_rate_objective(a: float, alpha: float, eps1: float, eps2: float) -> float:
+    """beta_up integrand: C2(A) with c2 = 1, moments to 1e-9."""
     delta = ModelParams(eps1=eps1, eps2=eps2, alpha=alpha).delta
-    return _c2_formula(a, alpha, delta, 1.0, tol)
+    return _c2_formula(a, alpha, delta, 1.0, 1e-9)
 
 
 def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -334,15 +334,14 @@ def beta_bounds(
     return low, up
 
 
-def chernoff_tail(m: int, mu: float, eps: float, direction: str = "upper") -> float:
+def chernoff_tail(m: int, mu: float, eps: float) -> float:
     """Tail probability bound exp(-eps^2 m mu / 4) for sums of m independent
-    Bernoulli or Poisson variables with mean bound mu, deviation fraction eps."""
+    Bernoulli or Poisson variables with mean bound mu, deviation fraction eps;
+    it bounds the upper and the lower tail alike."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if mu <= 0.0:
         raise ValueError("mu must be positive")
     if not (0.0 < eps < 0.5):
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
-    if direction not in ("upper", "lower"):
-        raise ValueError(f"direction must be 'upper' or 'lower', got {direction!r}")
     return math.exp(-eps * eps * m * mu / 4.0)

@@ -20,7 +20,7 @@ from .bounds import beta_bounds, deviation_constants, ModelParams, SeriesConverg
 from .experiments import ExperimentConfig, ReportIOError, RUNNERS, report_to_json, write_report
 from .geometry import build_tiling
 from .invariants import run_invariant_suite
-from .solvers import grid_tour, tsp_exact, two_opt, EXACT_TOUR_MAX_N
+from .solvers import grid_tour, tsp_exact, two_opt
 from .weights import BUILTIN_KINDS, make_weight_function
 
 EXIT_OK = 0
@@ -77,8 +77,6 @@ def emit(payload: dict) -> None:
 
 def cmd_solve(args) -> int:
     pts = load_points_csv(args.points)
-    if len(pts) > EXACT_TOUR_MAX_N:
-        raise CliError(f"exact solver handles at most {EXACT_TOUR_MAX_N} points, got {len(pts)}")
     wf = make_weight_function(args.weight)
     tour = tsp_exact(pts, wf, args.alpha)
     emit({

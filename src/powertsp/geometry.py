@@ -103,6 +103,13 @@ def build_tiling(n: int, a: float) -> Tiling:
     )
 
 
+def check_in_square(coords) -> None:
+    """Raise ValueError unless every coordinate of a (..., 2) array lies in
+    the unit square; NaN fails the test too."""
+    if not np.all(np.abs(coords) <= HALF):
+        raise ValueError("point outside the unit square")
+
+
 def grid_col_row(coords: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Column (left to right) and row (top to bottom) of the k x k grid cell
     holding each point of a (..., 2) array of unit-square coordinates.
@@ -120,10 +127,7 @@ def cell_index_array(t: Tiling, coords: np.ndarray) -> np.ndarray:
     """Serpentine cell labels (1-based) for an (m, 2) array of coordinates,
     with the cells of ``grid_col_row``."""
     coords = np.asarray(coords, dtype=np.float64)
-    x = coords[..., 0]
-    y = coords[..., 1]
-    if np.any(x < -HALF) or np.any(x > HALF) or np.any(y < -HALF) or np.any(y > HALF):
-        raise ValueError("point outside the unit square")
+    check_in_square(coords)
     k = t.cells_per_side
     col, row = grid_col_row(coords, k)
     pos = np.where(col % 2 == 0, row, k - 1 - row)

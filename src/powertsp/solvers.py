@@ -28,7 +28,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .geometry import HALF, Tiling, as_coords, cell_bounds, cell_index_array, grid_col_row
+from .geometry import HALF, Tiling, as_coords, cell_bounds, cell_index_array, check_in_square
 from .weights import WeightFunction, check_alpha, edge_weight_pairs, weight_matrix
 
 BRUTEFORCE_MAX_N = 10
@@ -253,7 +253,8 @@ _FLIP_Y = np.array([1.0, -1.0])
 def _candidate_lists(pts: np.ndarray, wf: WeightFunction) -> tuple[np.ndarray, np.ndarray]:
     """Each node's ``CANDIDATE_K`` nearest other nodes under h (every other
     node when n <= K + 1), nearest first with ties to the lower index, and
-    their h values: two (n, min(K, n - 1)) arrays.
+    their h values: two (n, min(K, n - 1)) arrays.  The points must lie in
+    the unit square, where the weight's constants promise c1·d <= h.
 
     A ring search over a k x k grid of ``grid_col_row`` cells holding about
     ``CELL_NODES`` nodes each.  A node's block of (2R + 1)^2 cells around its
@@ -262,17 +263,15 @@ def _candidate_lists(pts: np.ndarray, wf: WeightFunction) -> tuple[np.ndarray, n
     so a node beyond that side has h > h_K.  Nodes whose block fails the
     test widen it, R doubling per round.  A round scores its nodes in chunks
     of about ``SEARCH_PAIRS`` (node, candidate) pairs, which bounds the
-    temporaries.  The lists are exact wherever c1·d <= h holds, which the
-    weight's constants promise on the unit square.
+    temporaries.
     """
     n = pts.shape[0]
     kk = min(CANDIDATE_K, n - 1)
     k = max(1, math.isqrt(n // CELL_NODES))
-    cr = np.empty((n, 2), dtype=np.int64)  # column and row of each node's cell
-    cr[:, 0], cr[:, 1] = grid_col_row(pts, k)
-    np.maximum(cr, 0, out=cr)  # a cell of the grid, also off the square
-    # the same products grid_col_row floors: coordinates in cell units
+    # coordinates in cell units, >= 0 on the square: the products that
+    # grid_col_row floors, so cr holds its column and row of each node's cell
     at = (pts * _FLIP_Y + HALF) * k
+    cr = np.minimum(at.astype(np.int64), k - 1)
     cell = cr[:, 1] * k + cr[:, 0]
     by_cell = cell.argsort(kind="stable")
     start = np.zeros(k * k + 1, dtype=np.int64)
@@ -527,9 +526,11 @@ def two_opt(points, tour: Tour, wf: WeightFunction, alpha: float) -> Tour:
     both orientations) over each node's ``CANDIDATE_K`` nearest nodes under
     h, until no such move gains more than a tolerance relative to the
     tour's weight.  Memory is O(n·K): no n x n matrix is built.  The weight
-    never increases."""
+    never increases.  Raises ValueError for a point outside the unit square,
+    where the candidate lists would not be exact."""
     check_alpha(alpha)
     pts = as_coords(points)
+    check_in_square(pts)
     n = pts.shape[0]
     order = _validate_permutation(tour.order, n)
     if n >= 4:
@@ -622,10 +623,12 @@ def approx_tsp_path(points, wf: WeightFunction, alpha: float,
     counts as inside), crosses to the outside node nearest the square, and
     continues with a minimum-weight spanning path over the outside nodes
     starting at that crossing node.  Both sub-paths are exact, so neither
-    side may hold more than 16 nodes.
+    side may hold more than 16 nodes.  Every point must lie in the unit
+    square.
     """
     check_alpha(alpha)
     pts = as_coords(points)
+    check_in_square(pts)
     n = pts.shape[0]
     if n < 3:
         raise ValueError("the decomposition path needs at least 3 nodes")

@@ -30,9 +30,6 @@ ROOT2 = math.sqrt(2.0)
 
 BUILTIN_KINDS = ("euclidean", "coordinate_metric", "radial_metric")
 
-# entries per row block of weight_matrix (512 KiB of float64)
-BLOCK = 1 << 16
-
 
 def check_alpha(alpha: float) -> float:
     if not (alpha > 0.0 and math.isfinite(alpha)):
@@ -143,21 +140,16 @@ def edge_weight_pairs(wf: WeightFunction, alpha: float, u: np.ndarray, v: np.nda
 
 
 def weight_matrix(wf: WeightFunction, alpha: float, points) -> np.ndarray:
-    """Full n x n matrix of edge weights, zero diagonal.
+    """Full n x n matrix of edge weights, zero diagonal, as one broadcast.
+    It serves the exact solvers (n <= 18); no heuristic builds it.
 
-    The matrix is filled in blocks of whole rows, about ``BLOCK`` entries
-    each, so the peak memory is the matrix plus the temporaries of one
-    block.  Every ordered pair is evaluated, so W[i, j] and W[j, i] are
+    Every ordered pair is evaluated, so W[i, j] and W[j, i] are
     bit-identical only because ``func`` is symmetric bit for bit, the
     precondition ``verify_equivalence`` checks.
     """
     check_alpha(alpha)
     pts = as_coords(points)
-    n = len(pts)
-    mat = np.empty((n, n))
-    rows = max(1, BLOCK // max(n, 1))
-    for s in range(0, n, rows):
-        mat[s:s + rows] = wf.h_pairs(pts[s:s + rows, None, :], pts[None, :, :]) ** alpha
+    mat = wf.h_pairs(pts[:, None, :], pts[None, :, :]) ** alpha
     np.fill_diagonal(mat, 0.0)
     return mat
 

@@ -281,14 +281,13 @@ def test_criterion_8_chernoff_validity():
     trials = 10_000
     violations = 0
     for m, mu, eps in configs:
-        bound_up = chernoff_tail(m, mu, eps, "upper")
-        bound_low = chernoff_tail(m, mu, eps, "lower")
+        bound = chernoff_tail(m, mu, eps)
         bern = rng.binomial(m, mu, size=trials)
         pois = rng.poisson(mu, size=(trials, m)).sum(axis=1)
         for sums in (bern, pois):
-            if np.mean(sums > m * mu * (1 + eps)) > bound_up:
+            if np.mean(sums > m * mu * (1 + eps)) > bound:
                 violations += 1
-            if np.mean(sums < m * mu * (1 - eps)) > bound_low:
+            if np.mean(sums < m * mu * (1 - eps)) > bound:
                 violations += 1
     ok = violations == 0
     line(8, "chernoff_validity", ok, f"20 configs x 2 processes x 2 tails, {violations} violations")

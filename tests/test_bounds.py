@@ -382,9 +382,9 @@ def test_beta_bounds_refinement_stops_at_float_resolution():
 
 
 def test_chernoff_value():
-    assert chernoff_tail(100, 0.5, 0.2, "upper") == pytest.approx(math.exp(-0.5), rel=1e-12)
-    assert chernoff_tail(100, 0.5, 0.2, "upper") == pytest.approx(0.60653, abs=1e-5)
-    assert chernoff_tail(100, 0.5, 1e-9, "lower") == pytest.approx(1.0, abs=1e-9)
+    assert chernoff_tail(100, 0.5, 0.2) == pytest.approx(math.exp(-0.5), rel=1e-12)
+    assert chernoff_tail(100, 0.5, 0.2) == pytest.approx(0.60653, abs=1e-5)
+    assert chernoff_tail(100, 0.5, 1e-9) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_chernoff_validation():
@@ -394,19 +394,17 @@ def test_chernoff_validation():
         chernoff_tail(10, -1.0, 0.2)
     with pytest.raises(ValueError):
         chernoff_tail(10, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        chernoff_tail(10, 0.5, 0.2, "sideways")
 
 
 def test_chernoff_dominates_simulation():
     rng = np.random.default_rng(17)
     m, mu, eps = 200, 0.5, 0.3
-    bound = chernoff_tail(m, mu, eps, "lower")
+    bound = chernoff_tail(m, mu, eps)
     sums = rng.binomial(m, mu, size=10_000)
     emp_low = np.mean(sums < m * mu * (1.0 - eps))
     emp_up = np.mean(sums > m * mu * (1.0 + eps))
     assert emp_low <= bound
-    assert emp_up <= chernoff_tail(m, mu, eps, "upper")
+    assert emp_up <= bound
     pois = rng.poisson(mu, size=(10_000, m)).sum(axis=1)
     assert np.mean(pois < m * mu * (1.0 - eps)) <= bound
     assert np.mean(pois > m * mu * (1.0 + eps)) <= bound

@@ -308,6 +308,18 @@ def test_tour_rejects_non_finite_a(corners_file):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("n", [19, 1])
+def test_solve_rejects_a_point_count_beyond_the_exact_cap(tmp_path, n):
+    # the exact solver's own check names the cap; the CLI keeps no copy of it
+    path = tmp_path / "points.csv"
+    path.write_text("".join(f"{0.05 * i - 0.45},{0.0}\n" for i in range(n)))
+    proc = run_cli_process("solve", "--points", str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert f"exact solver handles 2 <= n <= 18, got {n}" in proc.stderr
+    assert proc.stdout == ""
+
+
 SMALL_CONFIG = {
     "weight": {"kind": "euclidean"},
     "alpha": 1.0,

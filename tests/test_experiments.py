@@ -185,7 +185,7 @@ def test_report_io_error():
         write_report(report, "/tmp/x.json", format="yaml")
 
 
-def test_reports_byte_identical_across_thread_counts(tmp_path):
+def test_written_reports_byte_identical_across_runs(tmp_path):
     # trials run serially; two runs of one config give the same bytes
     outputs = []
     for run in range(2):

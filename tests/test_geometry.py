@@ -12,6 +12,7 @@ from powertsp.geometry import (
     cell_index,
     cell_index_array,
     cell_neighbors,
+    check_in_square,
     euclidean_distance,
 )
 
@@ -102,6 +103,30 @@ def test_cell_index_boundary_conventions():
     assert cell_index(t, (0.5, -0.5)) == 3
     with pytest.raises(ValueError):
         cell_index(t, (0.500001, 0.0))
+
+
+# NaN, infinities and points just off the square; NaN fails every comparison
+OFF_SQUARE = [(math.nan, 0.1), (0.1, math.nan), (math.inf, 0.0), (0.0, -math.inf),
+              (0.6, 0.0), (0.0, -0.500001)]
+
+
+@pytest.mark.parametrize("bad", OFF_SQUARE)
+def test_off_square_points_are_rejected(bad):
+    coords = np.array([(0.0, 0.0), (0.25, -0.25), bad, (-0.5, 0.5)])
+    with pytest.raises(ValueError, match="point outside the unit square"):
+        check_in_square(coords)
+    with pytest.raises(ValueError, match="point outside the unit square"):
+        cell_index_array(build_tiling(4, 1.0), coords)
+
+
+def test_square_edges_and_corners_pass():
+    side = np.linspace(-0.5, 0.5, 5)
+    coords = np.array([(x, y) for x in side for y in (-0.5, 0.5)]
+                      + [(x, y) for x in (-0.5, 0.5) for y in side])
+    check_in_square(coords)
+    check_in_square(np.empty((0, 2)))
+    labels = cell_index_array(build_tiling(4, 1.0), coords)
+    assert set(labels.tolist()) == {1, 2, 3, 4}
 
 
 def test_partition_property_exhaustive():

@@ -2,7 +2,10 @@
 attribute name: renaming or removing one breaks ``bench/`` without failing
 any other test."""
 
+import ast
+import importlib
 import inspect
+from pathlib import Path
 
 from powertsp import experiments
 from powertsp.experiments import (
@@ -26,3 +29,23 @@ def test_benchmark_import_surface():
                  "build_tiling", "grid_tour", "two_opt", "tsp_exact"):
         assert callable(getattr(experiments, name))
     assert RUNNERS["scaling"] is run_scaling and RUNNERS["sandwich"] is run_sandwich
+
+
+def _traced_names():
+    """``TRACED`` of bench/spans.py, read from its source without importing
+    or running it."""
+    spans = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    for node in ast.parse(spans.read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/spans.py defines no TRACED tuple")
+
+
+def test_traced_names_resolve():
+    # bench/spans.py wraps each TRACED "module.function" by attribute name,
+    # and bench/worker.py imports the last two
+    names = _traced_names() + ("geometry.build_tiling", "cli.build_parser")
+    assert len(names) == 20
+    for name in names:
+        module, func = name.split(".")
+        assert callable(getattr(importlib.import_module(f"powertsp.{module}"), func, None)), name

@@ -125,7 +125,7 @@ def test_cell_frequencies_respect_chernoff_band():
     counts = np.bincount(cell_index_array(tiling, s.points), minlength=26)[1:]
     mu = 1.0 / 25.0
     eps = 0.45
-    assert chernoff_tail(n, mu, eps, "upper") < 1e-8
+    assert chernoff_tail(n, mu, eps) < 1e-8
     assert np.all(counts <= n * mu * (1 + eps))
     assert np.all(counts >= n * mu * (1 - eps))
 

@@ -808,6 +808,51 @@ def test_approx_path_degenerate_all_inside():
 
 
 # ---------------------------------------------------------------------------
+# the unit-square precondition
+# ---------------------------------------------------------------------------
+
+
+def _square_solvers(pts):
+    """Each solver that needs its points in the unit square, as one call."""
+    n = len(pts)
+    tiling = build_tiling(n, 1.0)
+    cm = make_weight_function("coordinate_metric")
+    return {
+        "grid_tour": lambda: grid_tour(pts, cm, 1.0, tiling),
+        "gap_statistics": lambda: gap_statistics(pts, tiling, 1.0),
+        "two_opt": lambda: two_opt(pts, Tour(tuple(range(n)), 0.0), cm, 1.0),
+        "approx_tsp_path": lambda: approx_tsp_path(pts, cm, 1.0, build_tiling(n, math.sqrt(n) / 3.0)),
+    }
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 0.1), (0.1, math.inf), (-math.inf, 0.0),
+                                 (0.6, 0.0), (0.0, -0.500001)])
+@pytest.mark.parametrize("solver", ["grid_tour", "gap_statistics", "two_opt", "approx_tsp_path"])
+def test_solvers_reject_points_off_the_square(solver, bad):
+    # the bad point is not node 0, which approx_tsp_path places first
+    pts = random_points(12, seed=1500)
+    pts[5] = bad
+    with pytest.raises(ValueError, match="point outside the unit square"):
+        _square_solvers(pts)[solver]()
+
+
+def test_two_opt_rejects_points_where_the_candidate_lists_would_be_inexact():
+    # on [-2, 2]^2 the coordinate kind breaks c1·d <= h, so a ring search
+    # there would miss true neighbours
+    pts = np.random.default_rng(26).uniform(-2.0, 2.0, size=(300, 2))
+    cm = make_weight_function("coordinate_metric")
+    with pytest.raises(ValueError, match="point outside the unit square"):
+        two_opt(pts, Tour(tuple(range(300)), 0.0), cm, 1.0)
+
+
+@pytest.mark.parametrize("solver", ["grid_tour", "gap_statistics", "two_opt", "approx_tsp_path"])
+def test_solvers_accept_the_square_edges_and_corners(solver):
+    side = (-0.5, 0.0, 0.5)
+    pts = np.array([(x, y) for x in side for y in side if (x, y) != (0.0, 0.0)] + [(0.5, 0.25)])
+    _square_solvers(pts)[solver]()
+
+
+# ---------------------------------------------------------------------------
 # gap statistics
 # ---------------------------------------------------------------------------
 

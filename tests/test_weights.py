@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powertsp.weights import (
-    BLOCK,
     BUILTIN_KINDS,
     _coordinate,
     _euclid,
@@ -177,34 +175,6 @@ def test_kernels_match_difference_form():
         assert _same_bits(kernel(pts[0], pts[1:]), reference(pts[0][None, :], pts[1:]))
         for u, v in zip(pts[:20], pts[20:40]):
             assert _same_bits(kernel(u, v), reference(u, v))
-
-
-def test_weight_matrix_blocks_match_whole_broadcast():
-    # n = 257 and 1000 take several row blocks with a short last one; n <= 3
-    # fits one block.  Every golden report has n <= 64, a single block.
-    assert 257 % (BLOCK // 257) and 1000 % (BLOCK // 1000)
-    for n in (1, 2, 3, 257, 1000):
-        pts = np.random.default_rng(n).uniform(-0.5, 0.5, size=(n, 2))
-        for wf in _all_weights():
-            whole = wf.h_pairs(pts[:, None, :], pts[None, :, :])
-            for alpha in (0.5, 1.0, 1.5, 2.0):
-                ref = whole ** alpha
-                np.fill_diagonal(ref, 0.0)
-                assert _same_bits(weight_matrix(wf, alpha, pts), ref), (wf.kind, n, alpha)
-
-
-def test_weight_matrix_peak_is_matrix_plus_one_block():
-    n = 1024
-    pts = np.random.default_rng(7).uniform(-0.5, 0.5, size=(n, 2))
-    for kind in BUILTIN_KINDS:
-        wf = make_weight_function(kind)
-        tracemalloc.start()
-        try:
-            weight_matrix(wf, 1.5, pts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * n * n + 4 * 2**20, (kind, peak)
 
 
 def test_single_pair_weights_are_matrix_entries():
