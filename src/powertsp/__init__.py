@@ -20,9 +20,9 @@ from .experiments import (
     run_variance,
     write_report,
 )
-from .geometry import Point, Tiling, build_tiling, cell_index, cell_neighbors, euclidean_distance
+from .geometry import Tiling, build_tiling
 from .invariants import run_invariant_suite
-from .sampling import Density, PointSample, build_density, sample_binomial, sample_poisson
+from .sampling import Density, PointSample, build_density, sample_binomial
 from .solvers import (
     GapStatistics,
     SpanningPath,

@@ -22,18 +22,6 @@ _RATIO_EPS = 1e-9
 
 
 @dataclass(frozen=True)
-class Point:
-    """A location in the centered unit square."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (-HALF <= self.x <= HALF and -HALF <= self.y <= HALF):
-            raise ValueError(f"point ({self.x}, {self.y}) outside the unit square")
-
-
-@dataclass(frozen=True)
 class Tiling:
     """A k x k partition of the unit square into cells of side a_effective/sqrt(n).
 
@@ -53,23 +41,17 @@ class Tiling:
 
 
 def as_coords(points) -> np.ndarray:
-    """Coerce Points / pairs / arrays to a float array of shape (n, 2)."""
-    if isinstance(points, np.ndarray) and points.dtype == np.float64 and points.ndim == 2:
-        return points
-    rows = []
-    for p in points:
-        if isinstance(p, Point):
-            rows.append((p.x, p.y))
-        else:
-            rows.append((float(p[0]), float(p[1])))
-    return np.asarray(rows, dtype=np.float64).reshape(-1, 2)
-
-
-def euclidean_distance(p, q) -> float:
-    """Euclidean distance between two points of the unit square."""
-    u = p if not isinstance(p, Point) else (p.x, p.y)
-    v = q if not isinstance(q, Point) else (q.x, q.y)
-    return math.hypot(u[0] - v[0], u[1] - v[1])
+    """Coerce an array or a sequence of (x, y) pairs to a float64 array of
+    shape (n, 2), an empty input to shape (0, 2).  Raises ValueError for any
+    other shape or a non-finite coordinate."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.size == 0:
+        return pts.reshape(0, 2)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("point outside the unit square: non-finite coordinate")
+    return pts
 
 
 def build_tiling(n: int, a: float) -> Tiling:
@@ -134,12 +116,6 @@ def cell_index_array(t: Tiling, coords: np.ndarray) -> np.ndarray:
     return (col * k + pos + 1).astype(np.int64)
 
 
-def cell_index(t: Tiling, p) -> int:
-    """Serpentine label (1..cell_count) of the cell containing point p."""
-    coords = as_coords([p])
-    return int(cell_index_array(t, coords)[0])
-
-
 def _label_to_col_row(t: Tiling, label: int) -> tuple[int, int]:
     k = t.cells_per_side
     if not (1 <= label <= t.cell_count):
@@ -149,12 +125,6 @@ def _label_to_col_row(t: Tiling, label: int) -> tuple[int, int]:
     return col, row
 
 
-def _col_row_to_label(t: Tiling, col: int, row: int) -> int:
-    k = t.cells_per_side
-    pos = row if col % 2 == 0 else k - 1 - row
-    return col * k + pos + 1
-
-
 def cell_bounds(t: Tiling, label: int) -> tuple[float, float, float, float]:
     """(x0, x1, y0, y1) extent of a cell, x0 < x1 and y0 < y1."""
     col, row = _label_to_col_row(t, label)
@@ -162,17 +132,3 @@ def cell_bounds(t: Tiling, label: int) -> tuple[float, float, float, float]:
     x0 = -HALF + col * side
     y1 = HALF - row * side
     return x0, x0 + side, y1 - side, y1
-
-
-def cell_neighbors(t: Tiling, label: int) -> set[int]:
-    """Labels of all cells sharing an edge or corner with the given cell,
-    the cell itself included: 9 in the interior, 6 on a side, 4 in a corner."""
-    col, row = _label_to_col_row(t, label)
-    k = t.cells_per_side
-    out = set()
-    for dc in (-1, 0, 1):
-        for dr in (-1, 0, 1):
-            c, r = col + dc, row + dr
-            if 0 <= c < k and 0 <= r < k:
-                out.add(_col_row_to_label(t, c, r))
-    return out

@@ -1,6 +1,5 @@
-"""Bounded densities on the unit square and the two point processes used
-throughout: the binomial process (exactly n i.i.d. nodes) and the
-Poissonized process (a Poisson(n) number of i.i.d. nodes).
+"""Bounded densities on the unit square and the binomial point process
+(exactly n i.i.d. nodes) that every runner samples from.
 
 Sampling is rejection against the density's own maximum, driven by a
 counter-based Philox generator keyed on (seed, stream), so trials draw
@@ -55,11 +54,9 @@ class Density:
 
 @dataclass(frozen=True)
 class PointSample:
-    """Points drawn from one of the two processes, with full provenance."""
+    """Points drawn from the binomial process, with their seed and stream."""
 
     points: np.ndarray
-    process: str
-    intended_n: int
     seed: int
     stream: tuple[int, ...] = ()
 
@@ -152,14 +149,4 @@ def sample_binomial(d: Density, n: int, seed: int, stream: tuple[int, ...] = ())
         raise ValueError("n must be >= 0")
     rng = make_rng(seed, stream)
     pts = _draw_points(d, n, rng) if n > 0 else np.empty((0, 2), dtype=np.float64)
-    return PointSample(points=pts, process="binomial", intended_n=n, seed=seed, stream=tuple(stream))
-
-
-def sample_poisson(d: Density, n: int, seed: int, stream: tuple[int, ...] = ()) -> PointSample:
-    """A Poisson(n) number of i.i.d. points with density d."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = make_rng(seed, stream)
-    count = int(rng.poisson(n))
-    pts = _draw_points(d, count, rng) if count > 0 else np.empty((0, 2), dtype=np.float64)
-    return PointSample(points=pts, process="poisson", intended_n=n, seed=seed, stream=tuple(stream))
+    return PointSample(points=pts, seed=seed, stream=tuple(stream))

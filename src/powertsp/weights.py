@@ -55,10 +55,6 @@ class WeightFunction:
     scale_invariant: bool = False
     func: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False, default=None)
 
-    def h(self, u, v) -> float:
-        """Cost of the single pair (u, v), through ``h_pairs``."""
-        return float(self.h_pairs(as_coords([u])[0], as_coords([v])[0]))
-
     def h_pairs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Vectorized costs for two broadcastable (..., 2) coordinate arrays,
         in the caller's order: the one call site of ``func``, which must
@@ -110,14 +106,17 @@ def make_weight_function(kind: str, **params) -> WeightFunction:
         func = params.pop("func")
         c1 = float(params.pop("c1"))
         c2 = float(params.pop("c2"))
-        if not (0.0 < c1 <= c2):
-            raise ValueError(f"need 0 < c1 <= c2, got c1={c1}, c2={c2}")
+        if not (0.0 < c1 <= c2 < math.inf):
+            raise ValueError(f"need 0 < c1 <= c2 < inf, got c1={c1}, c2={c2}")
+        h0 = params.pop("h0", None)
+        if h0 is not None and not (0.0 < h0 < math.inf):
+            raise ValueError(f"h0 must be positive and finite, got {h0}")
         wf = WeightFunction(
             kind="custom",
             c1=c1,
             c2=c2,
             is_metric=bool(params.pop("is_metric", False)),
-            h0=params.pop("h0", None),
+            h0=h0,
             scale_invariant=bool(params.pop("scale_invariant", False)),
             func=func,
         )

@@ -5,30 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powertsp.geometry import (
-    Point,
-    build_tiling,
-    cell_bounds,
-    cell_index,
-    cell_index_array,
-    cell_neighbors,
-    check_in_square,
-    euclidean_distance,
-)
-
-
-def test_point_validates_domain():
-    Point(0.5, -0.5)
-    with pytest.raises(ValueError):
-        Point(0.51, 0.0)
-    with pytest.raises(ValueError):
-        Point(0.0, -0.500001)
-
-
-def test_euclidean_distance_examples():
-    assert euclidean_distance((0.0, 0.0), (0.0, 0.0)) == 0.0
-    assert euclidean_distance((0.0, 0.0), (0.3, 0.4)) == pytest.approx(0.5, abs=1e-15)
-    assert euclidean_distance((-0.5, -0.5), (0.5, 0.5)) == pytest.approx(math.sqrt(2.0), abs=1e-15)
+from powertsp.geometry import build_tiling, cell_bounds, cell_index_array, check_in_square
 
 
 def test_build_tiling_exact_fit():
@@ -85,24 +62,23 @@ def test_tiling_partitions_unit_side():
 def test_serpentine_labels_2x2():
     t = build_tiling(4, 1.0)
     assert t.cells_per_side == 2
-    assert cell_index(t, (-0.25, 0.25)) == 1   # top-left
-    assert cell_index(t, (-0.25, -0.25)) == 2  # below it
-    assert cell_index(t, (0.25, -0.25)) == 3   # to the right (second column goes up)
-    assert cell_index(t, (0.25, 0.25)) == 4
+    pts = [(-0.25, 0.25),   # top-left
+           (-0.25, -0.25),  # below it
+           (0.25, -0.25),   # to the right (second column goes up)
+           (0.25, 0.25)]
+    assert cell_index_array(t, pts).tolist() == [1, 2, 3, 4]
 
 
 def test_cell_index_boundary_conventions():
     t = build_tiling(4, 1.0)
-    # interior vertical boundary belongs to the right cell (half-open in x)
-    assert cell_index(t, (0.0, 0.25)) == 4
-    # interior horizontal boundary belongs to the lower cell (cells closed at their top)
-    assert cell_index(t, (-0.25, 0.0)) == 2
-    # outer edges are closed
-    assert cell_index(t, (0.5, 0.5)) == 4
-    assert cell_index(t, (-0.5, -0.5)) == 2
-    assert cell_index(t, (0.5, -0.5)) == 3
+    pts = [(0.0, 0.25),   # interior vertical boundary belongs to the right cell (half-open in x)
+           (-0.25, 0.0),  # interior horizontal boundary belongs to the lower cell (cells closed at their top)
+           (0.5, 0.5),    # outer edges are closed
+           (-0.5, -0.5),
+           (0.5, -0.5)]
+    assert cell_index_array(t, pts).tolist() == [4, 2, 4, 2, 3]
     with pytest.raises(ValueError):
-        cell_index(t, (0.500001, 0.0))
+        cell_index_array(t, [(0.500001, 0.0)])
 
 
 # NaN, infinities and points just off the square; NaN fails every comparison
@@ -152,40 +128,17 @@ def test_partition_property_exhaustive():
 def test_partition_property_random(x, y, k):
     # containment up to float rounding of the boundary arithmetic
     t = build_tiling(k * k, 1.0)
-    lab = cell_index(t, (x, y))
+    lab = int(cell_index_array(t, [(x, y)])[0])
     x0, x1, y0, y1 = cell_bounds(t, lab)
     assert x0 - 1e-12 <= x <= x1 + 1e-12
     assert y0 - 1e-12 <= y <= y1 + 1e-12
 
 
-def test_neighbors_center_of_3x3():
+def test_cell_bounds_rejects_labels_out_of_range():
     t = build_tiling(9, 1.0)
-    center = cell_index(t, (0.0, 0.0))
-    assert cell_neighbors(t, center) == set(range(1, 10))
-
-
-def test_neighbors_2x2_all_touch():
-    t = build_tiling(4, 1.0)
-    assert cell_neighbors(t, 1) == {1, 2, 3, 4}
-
-
-def test_neighbors_corner_and_side_sizes():
-    t = build_tiling(9, 1.0)
-    corner = cell_index(t, (-0.45, 0.45))
-    assert len(cell_neighbors(t, corner)) == 4
-    side = cell_index(t, (0.0, 0.45))
-    assert len(cell_neighbors(t, side)) == 6
-    with pytest.raises(ValueError):
-        cell_neighbors(t, 10)
-    with pytest.raises(ValueError):
-        cell_neighbors(t, 0)
-
-
-def test_neighbors_symmetric():
-    t = build_tiling(25, 1.0)
-    for i in range(1, t.cell_count + 1):
-        for j in cell_neighbors(t, i):
-            assert i in cell_neighbors(t, j)
+    for label in (0, 10):
+        with pytest.raises(ValueError, match=r"cell label -?\d+ out of range 1..9"):
+            cell_bounds(t, label)
 
 
 def test_consecutive_labels_share_an_edge():

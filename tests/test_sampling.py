@@ -9,7 +9,6 @@ from powertsp.sampling import (
     density_from_dict,
     make_rng,
     sample_binomial,
-    sample_poisson,
 )
 
 
@@ -130,28 +129,10 @@ def test_cell_frequencies_respect_chernoff_band():
     assert np.all(counts >= n * mu * (1 - eps))
 
 
-def test_poisson_count_moments():
-    d = build_density("uniform", 1.0, 1.0)
-    counts = np.array([sample_poisson(d, 100, seed=8, stream=(t,)).n for t in range(10_000)])
-    # mean within 3 * sqrt(100/10^4) * 10 = 3 of 100
-    assert abs(counts.mean() - 100.0) < 3.0
-    # variance approx 100 within 10%
-    assert abs(counts.var(ddof=1) - 100.0) < 10.0
-
-
-def test_poisson_deterministic():
-    d = build_density("uniform", 1.0, 1.0)
-    a = sample_poisson(d, 1, seed=123)
-    b = sample_poisson(d, 1, seed=123)
-    assert a.n == b.n and np.array_equal(a.points, b.points)
-
-
 def test_validation():
     d = build_density("uniform", 1.0, 1.0)
     with pytest.raises(ValueError):
         sample_binomial(d, -1, seed=0)
-    with pytest.raises(ValueError):
-        sample_poisson(d, 0, seed=0)
 
 
 def test_make_rng_streams_disjoint():

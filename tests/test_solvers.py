@@ -836,6 +836,39 @@ def test_solvers_reject_points_off_the_square(solver, bad):
         _square_solvers(pts)[solver]()
 
 
+# the solvers that need no grid, each as a call on its points
+EXACT_SOLVERS = {
+    "tsp_exact": lambda pts: tsp_exact(pts, EU, 1.0),
+    "tsp_bruteforce": lambda pts: tsp_bruteforce(pts, EU, 1.0),
+    "min_weight_spanning_path": lambda pts: min_weight_spanning_path(pts, EU, 1.0),
+    "tour_weight": lambda pts: tour_weight(pts, tuple(range(len(pts))), EU, 1.0),
+}
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 0.1), (0.1, math.inf), (-math.inf, 0.0)])
+@pytest.mark.parametrize("solver", list(EXACT_SOLVERS))
+def test_exact_solvers_reject_non_finite_points(solver, bad):
+    pts = random_points(6, seed=1501)
+    pts[3] = bad
+    with pytest.raises(ValueError, match="point outside the unit square: non-finite coordinate"):
+        EXACT_SOLVERS[solver](pts)
+
+
+@pytest.mark.parametrize("solver", list(EXACT_SOLVERS))
+def test_exact_solvers_reject_points_that_are_not_pairs(solver):
+    pts = np.column_stack([random_points(6, seed=1502), np.zeros(6)])
+    for points in (pts, [tuple(p) for p in pts]):
+        with pytest.raises(ValueError, match=r"points must have shape \(n, 2\), got \(6, 3\)"):
+            EXACT_SOLVERS[solver](points)
+
+
+def test_empty_points_reach_the_size_checks():
+    with pytest.raises(ValueError, match="a tour needs at least 2 nodes"):
+        tour_weight([], (), EU, 1.0)
+    with pytest.raises(ValueError, match="exact solver handles 2 <= n"):
+        tsp_exact(np.empty((0, 2)), EU, 1.0)
+
+
 def test_two_opt_rejects_points_where_the_candidate_lists_would_be_inexact():
     # on [-2, 2]^2 the coordinate kind breaks c1·d <= h, so a ring search
     # there would miss true neighbours

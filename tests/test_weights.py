@@ -80,7 +80,7 @@ def test_equivalence_sandwich(x1, y1, x2, y2):
     d = math.hypot(x1 - x2, y1 - y2)
     for kind in ("euclidean", "coordinate_metric", "radial_metric"):
         wf = make_weight_function(kind)
-        h = wf.h((x1, y1), (x2, y2))
+        h = edge_weight(wf, 1.0, (x1, y1), (x2, y2))
         assert wf.c1 * d - 1e-12 <= h <= wf.c2 * d + 1e-12
 
 
@@ -89,8 +89,8 @@ def test_equivalence_sandwich(x1, y1, x2, y2):
 def test_scale_invariance_b1(x1, y1, x2, y2, a):
     for kind in ("euclidean", "radial_metric"):
         wf = make_weight_function(kind)
-        h1 = wf.h((a * x1, a * y1), (a * x2, a * y2))
-        h0 = wf.h((x1, y1), (x2, y2))
+        h1 = edge_weight(wf, 1.0, (a * x1, a * y1), (a * x2, a * y2))
+        h0 = edge_weight(wf, 1.0, (x1, y1), (x2, y2))
         assert h1 == pytest.approx(a * h0, rel=1e-12, abs=1e-15)
 
 
@@ -105,8 +105,8 @@ def test_scale_invariance_b1(x1, y1, x2, y2, a):
 )
 def test_radial_translation_b2(x1, y1, x2, y2, bx, by):
     rm = make_weight_function("radial_metric")
-    shifted = rm.h((bx + x1, by + y1), (bx + x2, by + y2))
-    assert shifted <= 1.5 * rm.h((x1, y1), (x2, y2)) + 1e-12
+    shifted = edge_weight(rm, 1.0, (bx + x1, by + y1), (bx + x2, by + y2))
+    assert shifted <= 1.5 * edge_weight(rm, 1.0, (x1, y1), (x2, y2)) + 1e-12
 
 
 def _stretched(u, v):
@@ -179,16 +179,16 @@ def test_kernels_match_difference_form():
 
 def test_single_pair_weights_are_matrix_entries():
     # on (2,) inputs the per-coordinate kernels see numpy scalars, which
-    # cannot be written in place; h and edge_weight must still give floats
+    # cannot be written in place; edge_weight must still give floats
     rng = np.random.default_rng(9)
     pairs = [((0.31, -0.27), (-0.12, 0.44))] + [tuple(map(tuple, p)) for p in
                                                 rng.uniform(-0.5, 0.5, size=(50, 2, 2))]
     for kind in BUILTIN_KINDS:
         wf = make_weight_function(kind)
         for u, v in pairs:
-            h = wf.h(u, v)
+            h = edge_weight(wf, 1.0, u, v)
             assert type(h) is float and math.isfinite(h)
-            assert h == edge_weight(wf, 1.0, u, v) == weight_matrix(wf, 1.0, [u, v])[0, 1]
+            assert h == weight_matrix(wf, 1.0, [u, v])[0, 1]
             # numpy's array power, as in the matrix, not a Python float power,
             # which differs from it in the last bit at some alphas
             for alpha in (0.5, 0.7, 1.5, 2.0):
@@ -236,3 +236,18 @@ def test_verify_equivalence_validates_sample_count():
 def test_custom_requires_constants():
     with pytest.raises(ValueError):
         make_weight_function("custom", func=lambda u, v: 0.0, c1=2.0, c2=1.0)
+
+
+@pytest.mark.parametrize("constants", [dict(c2=math.inf), dict(c2=math.nan), dict(c1=math.nan),
+                                       dict(c1=math.inf, c2=math.inf)])
+def test_custom_rejects_non_finite_constants(constants):
+    # an infinite c2 would make verify_equivalence's upper check pass trivially
+    with pytest.raises(ValueError, match="need 0 < c1 <= c2 < inf"):
+        make_weight_function("custom", func=_euclid, **{"c1": 1.0, "c2": 1.0, **constants})
+
+
+@pytest.mark.parametrize("h0", [math.nan, math.inf, 0.0, -1.5])
+def test_custom_rejects_bad_h0(h0):
+    with pytest.raises(ValueError, match="h0 must be positive and finite"):
+        make_weight_function("custom", func=_euclid, c1=1.0, c2=1.0, h0=h0)
+    assert make_weight_function("custom", func=_euclid, c1=1.0, c2=1.0, h0=1.0).h0 == 1.0
