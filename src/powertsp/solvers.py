@@ -9,7 +9,12 @@ minimum per target node; a cycle's table is indexed by ``mask >> 1``
 permutation scan shares no code with it.  Constructive solver: the
 cell-chained tour that strings nearest-neighbor paths through dense cells
 (>= 3 nodes) and sparse cells (1-2 nodes) of a tiling in serpentine label
-order and merges the two chains into a spanning cycle.  Local search:
+order and merges the two chains into a spanning cycle.  Cells of at most
+``WALK_MAX_NODES`` nodes are walked as whole arrays, in a few kernel calls
+per tour: each one's entry from every node of the cell before it, and its
+walk from every entry that can occur, before a loop of table lookups
+follows the chain; a larger cell is walked one kernel call per step from
+the chain tail.  Local search:
 ``two_opt`` polishes a tour with 2-opt and Or-opt moves (segments of 1-3
 nodes) over each node's K = 10 nearest nodes under h, found by an exact
 ring search over a grid, in O(n·K) memory: only the exact solvers build
@@ -36,8 +41,12 @@ EXACT_TOUR_MAX_N = 18
 EXACT_PATH_MAX_N = 16
 CANDIDATE_K = 10  # candidate list length of two_opt
 CELL_NODES = 2  # mean nodes per cell of the candidate search grid
-SEARCH_PAIRS = 1 << 16  # (node, candidate) pairs scored at once by the candidate search
+# (node, candidate) pairs scored at once by the candidate search and grid_tour
+SEARCH_PAIRS = 1 << 16
 EVAL_NODES = 256  # active nodes whose moves two_opt scores at once
+# grid_tour walks a cell of at most this many nodes ahead of time, from every
+# entry that can occur (O(m^3) for m nodes), and a larger one from the chain tail
+WALK_MAX_NODES = 32
 # A wave of two_opt scores every node when at most this many are inactive:
 # a wave's fixed cost is about that many nodes' scoring, and a wave over
 # every node that finds nothing ends the search.
@@ -87,11 +96,14 @@ class ApproxPathRecord:
     out_weight: float
 
 
-def _validate_permutation(order, n: int) -> list[int]:
-    order = [int(i) for i in order]
-    if sorted(order) != list(range(n)):
+def _validate_permutation(order, n: int) -> np.ndarray:
+    """``order`` as a new intp array, after checking that it holds each of
+    0..n-1 once."""
+    idx = np.array(order, dtype=np.intp)
+    if idx.shape != (n,) or (n and not (0 <= idx.min() and idx.max() < n
+                                        and (np.bincount(idx, minlength=n) == 1).all())):
         raise ValueError(f"order is not a permutation of 0..{n - 1}")
-    return order
+    return idx
 
 
 def canonical_cycle(order) -> tuple[int, ...]:
@@ -112,8 +124,7 @@ def tour_weight(points, order, wf: WeightFunction, alpha: float) -> float:
     n = pts.shape[0]
     if n < 2:
         raise ValueError("a tour needs at least 2 nodes")
-    order = _validate_permutation(order, n)
-    po = pts[order]
+    po = pts[_validate_permutation(order, n)]
     return float(np.sum(edge_weight_pairs(wf, alpha, po, np.roll(po, -1, axis=0))))
 
 
@@ -247,6 +258,12 @@ def min_weight_spanning_path(
     return SpanningPath(order=tuple(order), weight=weight, endpoints=(order[0], order[-1]))
 
 
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The runs starts[i], starts[i] + 1, ..., starts[i] + lens[i] - 1, concatenated."""
+    offset = (starts - (lens.cumsum() - lens)).repeat(lens)
+    return np.arange(offset.size) + offset
+
+
 _FLIP_Y = np.array([1.0, -1.0])
 
 
@@ -299,8 +316,7 @@ def _candidate_lists(pts: np.ndarray, wf: WeightFunction) -> tuple[np.ndarray, n
             b = max(a + 1, int(cum.searchsorted(base + SEARCH_PAIRS, side="right"))
                     // rows.shape[1])
             lens = (hi[a:b] - lo[a:b]).ravel()
-            offset = (lo[a:b].ravel() - (lens.cumsum() - lens)).repeat(lens)
-            cand = by_cell[np.arange(offset.size) + offset]
+            cand = by_cell[_ranges(lo[a:b].ravel(), lens)]
             owner = np.arange(b - a).repeat(rows.shape[1]).repeat(lens)
             nodes = todo[a:b]
             keep = cand != nodes[owner]
@@ -532,21 +548,30 @@ def two_opt(points, tour: Tour, wf: WeightFunction, alpha: float) -> Tour:
     pts = as_coords(points)
     check_in_square(pts)
     n = pts.shape[0]
-    order = _validate_permutation(tour.order, n)
+    t = _validate_permutation(tour.order, n)
     if n >= 4:
-        t = np.asarray(order, dtype=np.intp)
         _local_search(pts, wf, alpha, t)
-        order = t.tolist()
-    order = canonical_cycle(order)
+    order = canonical_cycle(t.tolist())
     return Tour(order=order, weight=tour_weight(pts, order, wf, alpha))
 
 
-def _cells_of(points: np.ndarray, tiling: Tiling) -> dict[int, list[int]]:
-    labels = cell_index_array(tiling, points)
-    cells: dict[int, list[int]] = {}
-    for idx, lab in enumerate(labels):
-        cells.setdefault(int(lab), []).append(idx)
-    return cells
+def _score_table(pts: np.ndarray, wf: WeightFunction, alpha: float, by_cell: np.ndarray,
+                 tails: np.ndarray, lo: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Row i holds h^alpha from node tails[i] to each node of
+    by_cell[lo[i]:lo[i] + lens[i]], in that order, then +inf up to one
+    column past the longest row, so a row's first minimum is the node a
+    nearest-neighbor step takes.  One kernel call per block of rows of at
+    most ``SEARCH_PAIRS`` table entries."""
+    width = int(lens.max(initial=0)) + 1
+    table = np.full((tails.size, width), np.inf)
+    block = SEARCH_PAIRS // width
+    for a in range(0, tails.size, block):
+        run = lens[a:a + block]
+        col = _ranges(np.zeros_like(run), run)
+        u = pts[tails[a:a + block].repeat(run)]
+        v = pts[by_cell[lo[a:a + block].repeat(run) + col]]
+        table[np.arange(a, a + run.size).repeat(run), col] = wf.h_pairs(u, v) ** alpha
+    return table
 
 
 def _nn_within(pts: np.ndarray, wf: WeightFunction, alpha: float,
@@ -564,18 +589,110 @@ def _nn_within(pts: np.ndarray, wf: WeightFunction, alpha: float,
     return seq + remaining
 
 
-def _chain_cells(pts: np.ndarray, wf: WeightFunction, alpha: float,
-                 cells: dict[int, list[int]], labels: list[int]) -> list[int]:
-    """Concatenate per-cell nearest-neighbor paths over ``labels`` in label
-    order.  The first cell is walked from its first node, every later one
-    from the chain tail, so each cell is entered at its node cheapest from
-    the tail (the connector must attach at the path end to keep the union a
-    simple path)."""
-    nodes = cells[labels[0]]
-    order = _nn_within(pts, wf, alpha, nodes, nodes[0])
-    for lab in labels[1:]:
-        order.extend(_nn_within(pts, wf, alpha, cells[lab], order[-1])[1:])
-    return order
+def _walks(pts: np.ndarray, wf: WeightFunction, alpha: float, by_cell: np.ndarray,
+           lo: np.ndarray, size: np.ndarray, cell: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The ``_nn_within`` walk over each cell[i] from its node
+    by_cell[start[i]], where cell c holds the nodes by_cell[lo[c]:lo[c] +
+    size[c]], at most ``WALK_MAX_NODES``: row i of a table as wide as the
+    largest of these cells, padded past the walk's end.
+
+    Each cell of >= 3 nodes is scored once, every node against every node.
+    The walks then step in lockstep, longest first: each step is one gather
+    from the score table and one argmin over every walk's remaining nodes,
+    kept in index order and padded by the table's +inf column.
+    """
+    scored = np.zeros(size.size, dtype=bool)
+    scored[cell] = True
+    scored = np.flatnonzero(scored & (size >= 3))
+    cm = size[scored]
+    first_row = np.zeros(size.size, dtype=np.intp)
+    first_row[scored] = cm.cumsum() - cm
+    lo_rows = lo[scored].repeat(cm)
+    table = _score_table(pts, wf, alpha, by_cell, by_cell[lo_rows + _ranges(np.zeros_like(cm), cm)],
+                         lo_rows, cm.repeat(cm))
+    by_size = np.argsort(-size[cell], kind="stable")
+    cell = cell[by_size]
+    m, rows = size[cell], first_row[cell]
+    width = int(m.max(initial=1))
+    seq = np.zeros((cell.size, width), dtype=np.intp)
+    tail = seq[:, 0] = start[by_size] - lo[cell]
+    cols = np.arange(width - 1)
+    # each walk's nodes after its start in index order, then column m: +inf
+    rem = np.minimum(cols + (cols >= tail[:, None]), m[:, None])
+    live = np.count_nonzero(m >= 2)
+    for t in range(1, width):
+        keep = np.count_nonzero(m >= t + 2)  # the walks that score position t
+        seq[keep:live, t] = rem[keep:live, 0]  # the others take their last node unscored
+        if not keep:
+            break
+        rem, tail, live = rem[:keep], tail[:keep], keep
+        k = table[(rows[:keep] + tail)[:, None], rem].argmin(axis=1)
+        tail = seq[:keep, t] = rem[np.arange(keep), k]
+        rem = rem[cols[:rem.shape[1]] != k[:, None]].reshape(keep, -1)
+    walks = np.empty_like(seq)
+    walks[by_size] = by_cell[lo[cell][:, None] + seq]
+    return walks
+
+
+def _chain_path(pts: np.ndarray, wf: WeightFunction, alpha: float, by_cell: np.ndarray,
+                lo: np.ndarray, size: np.ndarray, chains: list[np.ndarray]) -> np.ndarray:
+    """Per-cell nearest-neighbor paths strung through each chain of cells in
+    order, chain after chain, where cell c holds the nodes
+    by_cell[lo[c]:lo[c] + size[c]] in index order.  A chain's first cell is
+    walked from its first node, every later one from the chain tail, so
+    each cell is entered at its node cheapest from the tail (the connector
+    must attach at the path end to keep the union a simple path).
+
+    A cell of at most ``WALK_MAX_NODES`` nodes is walked ahead of time: its
+    entry from every node of the cell before it is one argmin, and its walk
+    from each entry that can occur one row of ``_walks``.  A Python loop
+    then follows the chains by table lookups, and walks each larger cell
+    with ``_nn_within`` from the real tail, one kernel call per step.
+    """
+    n = by_cell.size
+    cells = np.concatenate(chains)
+    head = np.zeros(cells.size, dtype=bool)
+    head[np.cumsum([0] + [c.size for c in chains[:-1]])] = True
+    m = size[cells]
+    ahead = m <= WALK_MAX_NODES
+    # entry[v]: the place in by_cell where a cell walked ahead is entered
+    # from node v, the chain tail in the cell before it
+    into = np.flatnonzero(ahead & ~head)
+    prev, into = cells[into - 1], cells[into]
+    tails = by_cell[_ranges(lo[prev], size[prev])]
+    into_lo, into_m = lo[into].repeat(size[prev]), size[into].repeat(size[prev])
+    entry = np.zeros(n, dtype=np.intp)
+    entry[tails] = into_lo
+    two = into_m >= 2  # a lone node is entered unscored
+    entry[tails[two]] += _score_table(pts, wf, alpha, by_cell, tails[two], into_lo[two],
+                                      into_m[two]).argmin(axis=1)
+    start = np.zeros(n, dtype=bool)
+    start[lo[cells[ahead & head]]] = True
+    start[entry[tails]] = True
+    start = np.flatnonzero(start)
+    cell = np.arange(size.size).repeat(size)[start]
+    walk_m = size[cell]
+    walks = _walks(pts, wf, alpha, by_cell, lo, size, cell, start)
+    flat = walks[np.arange(walks.shape[1]) < walk_m[:, None]]
+    walk_at = np.zeros(n, dtype=np.intp)
+    walk_at[start] = walk_m.cumsum() - walk_m
+    last = np.zeros(n, dtype=np.intp)
+    last[start] = walks[np.arange(start.size), walk_m - 1]
+    entry, walk_at, last = entry.tolist(), walk_at.tolist(), last.tolist()
+    at, extra, tail = [], [], -1
+    for c, first, known in zip(cells.tolist(), head.tolist(), ahead.tolist()):
+        if known:
+            s = int(lo[c]) if first else entry[tail]
+            at.append(walk_at[s])
+            tail = last[s]
+        else:
+            nodes = by_cell[lo[c]:lo[c] + size[c]].tolist()
+            walk = (_nn_within(pts, wf, alpha, nodes, nodes[0]) if first
+                    else _nn_within(pts, wf, alpha, nodes, tail)[1:])
+            at.append(flat.size + len(extra))
+            extra += walk
+            tail = walk[-1]
+    return np.concatenate((flat, np.array(extra, dtype=np.intp)))[_ranges(np.array(at), m)]
 
 
 def grid_tour(points, wf: WeightFunction, alpha: float, tiling: Tiling) -> Tour:
@@ -586,24 +703,30 @@ def grid_tour(points, wf: WeightFunction, alpha: float, tiling: Tiling) -> Tour:
     first endpoints and the last endpoints close the two paths into a cycle.
     With fewer than two dense or two sparse cells the construction
     degenerates to a single serpentine chain over all occupied cells, closed
-    into a cycle.
+    into a cycle.  Each cell's path is a nearest-neighbor walk entered from
+    the chain tail (``_chain_path``): cells of at most ``WALK_MAX_NODES``
+    nodes are walked as whole arrays in a few kernel calls per tour, larger
+    ones step by step.
     """
     check_alpha(alpha)
     pts = as_coords(points)
     n = pts.shape[0]
     if n < 2:
         raise ValueError("the constructive tour needs at least 2 nodes")
-    cells = _cells_of(pts, tiling)
-    occupied = sorted(cells)
-    dense = [lab for lab in occupied if len(cells[lab]) >= DENSE_CELL_MIN_NODES]
-    sparse = [lab for lab in occupied if len(cells[lab]) < DENSE_CELL_MIN_NODES]
-    if len(dense) >= 2 and len(sparse) >= 2:
-        dense_path = _chain_cells(pts, wf, alpha, cells, dense)
-        sparse_path = _chain_cells(pts, wf, alpha, cells, sparse)
-        cycle = dense_path + sparse_path[::-1]
+    labels = cell_index_array(tiling, pts)
+    by_cell = labels.argsort(kind="stable")
+    size = np.bincount(labels)
+    occupied = size.nonzero()[0]
+    lo, size = (size.cumsum() - size)[occupied], size[occupied]
+    cells = np.arange(occupied.size)
+    dense = size >= DENSE_CELL_MIN_NODES
+    if np.count_nonzero(dense) >= 2 and np.count_nonzero(~dense) >= 2:
+        path = _chain_path(pts, wf, alpha, by_cell, lo, size, [cells[dense], cells[~dense]])
+        cut = size[dense].sum()
+        cycle = np.concatenate((path[:cut], path[cut:][::-1]))
     else:
-        cycle = _chain_cells(pts, wf, alpha, cells, occupied)
-    order = canonical_cycle(cycle)
+        cycle = _chain_path(pts, wf, alpha, by_cell, lo, size, [cells])
+    order = canonical_cycle(cycle.tolist())
     return Tour(order=order, weight=tour_weight(pts, order, wf, alpha))
 
 

@@ -91,8 +91,11 @@ def make_weight_function(kind: str, **params) -> WeightFunction:
     Custom functions must pass func (vectorized on (..., 2) arrays and
     symmetric bit for bit), c1, c2 and may declare h0, is_metric and
     scale_invariant; the declared constants and the symmetry are the caller's
-    claim and should be vetted with verify_equivalence.
+    claim and should be vetted with verify_equivalence.  A built-in kind
+    takes no parameters; ValueError names any unknown or missing one.
     """
+    if kind in BUILTIN_KINDS and params:
+        raise ValueError(f"unknown {kind} weight parameters: {sorted(params)}")
     if kind == "euclidean":
         return WeightFunction(kind, c1=1.0, c2=1.0, is_metric=True, h0=1.0,
                               scale_invariant=True, func=_euclid)
@@ -103,6 +106,9 @@ def make_weight_function(kind: str, **params) -> WeightFunction:
         return WeightFunction(kind, c1=1.0, c2=1.5, is_metric=True, h0=1.5,
                               scale_invariant=True, func=_radial)
     if kind == "custom":
+        missing = [name for name in ("func", "c1", "c2") if name not in params]
+        if missing:
+            raise ValueError(f"custom weight needs the parameters {missing}")
         func = params.pop("func")
         c1 = float(params.pop("c1"))
         c2 = float(params.pop("c2"))

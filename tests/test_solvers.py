@@ -82,6 +82,16 @@ def test_tour_weight_validation():
         tour_weight(CORNERS, (0, 1, 2, 2), EU, 1.0)
 
 
+@pytest.mark.parametrize("order", [(0, 1, 1, 3), (1, 2, 3), (0, 1, 2, 4), (0, 1, 2, -1),
+                                   (0, 1, 2, 3, 0), ((0, 1), (2, 3))],
+                         ids=["repeated", "missing", "above", "negative", "long", "nested"])
+def test_tour_solvers_reject_an_order_that_is_not_a_permutation(order):
+    with pytest.raises(ValueError, match=r"order is not a permutation of 0\.\.3"):
+        tour_weight(CORNERS, order, EU, 1.0)
+    with pytest.raises(ValueError, match=r"order is not a permutation of 0\.\.3"):
+        two_opt(CORNERS, Tour(order=order, weight=0.0), EU, 1.0)
+
+
 def test_canonical_cycle():
     assert canonical_cycle([2, 3, 0, 1]) == (0, 1, 2, 3)
     assert canonical_cycle([0, 3, 2, 1]) == (0, 1, 2, 3)
@@ -435,17 +445,21 @@ CHECKERBOARD = build_density("checkerboard", 0.5, 1.5, 4)
 @pytest.mark.parametrize("n", [2, 3, 5, 9, 17, 64, 257, 1000])
 def test_grid_tour_matches_reference(n):
     # uniform and checkerboard points, every tiling side a <= sqrt(n) from
-    # {0.5, 1, 2}: at small n a single cell or too few dense cells leave
-    # one chain over all occupied cells; beyond the exact path cutoff, also
-    # one walk over all nodes, since a chain's first cell is walked from an
-    # entry inside its own node set
+    # {0.5, 1, 2, 4}, and a 2 x 2 tiling at n = 1000: at small n a single
+    # cell or too few dense cells leave one chain over all occupied cells;
+    # a = 4 mixes cells on both sides of WALK_MAX_NODES, so a large cell
+    # follows a small one and the reverse, and the 2 x 2 tiling has only
+    # large cells.  Beyond the exact path cutoff, also one walk over all
+    # nodes, since a chain's first cell is walked from an entry inside its
+    # own node set
+    sides = (0.5, 1.0, 2.0, 4.0) + ((math.sqrt(n) / 2,) if n == 1000 else ())
     combos = [(k, al, dens) for k in KINDS for al in ALPHAS for dens in ("uniform", "checkerboard")]
     for case, (kind, alpha, dens) in enumerate(combos):
         wf = make_weight_function(kind)
         seed = 6000 * n + case
         pts = (random_points(n, seed) if dens == "uniform"
                else sample_binomial(CHECKERBOARD, n, seed).points)
-        for a in (a for a in (0.5, 1.0, 2.0) if a <= math.sqrt(n)):
+        for a in (a for a in sides if a <= math.sqrt(n)):
             tiling = build_tiling(n, a)
             g = grid_tour(pts, wf, alpha, tiling)
             assert (g.order, g.weight) == reference_grid_tour(pts, wf, alpha, tiling), (kind, alpha, dens, a)
@@ -453,6 +467,19 @@ def test_grid_tour_matches_reference(n):
             start = case % n
             walk = _nn_within(pts, wf, alpha, list(range(n)), start)
             assert walk == reference_nn_within(pts, wf, alpha, list(range(n)), start), (kind, alpha, dens)
+
+
+def test_grid_tour_matches_reference_on_a_lattice():
+    # equal weights everywhere: every argmin of the batched walks must break
+    # its ties toward the lower node index, as the per-step walk does
+    side = np.linspace(-0.5, 0.5, 12)
+    pts = np.array([(x, y) for x in side for y in side])
+    for kind in KINDS:
+        wf = make_weight_function(kind)
+        for a in (1.0, 2.0, 3.0, 6.0):
+            tiling = build_tiling(len(pts), a)
+            g = grid_tour(pts, wf, 1.0, tiling)
+            assert (g.order, g.weight) == reference_grid_tour(pts, wf, 1.0, tiling), (kind, a)
 
 
 def test_grid_tour_scores_no_lone_candidate():
@@ -471,6 +498,24 @@ def test_grid_tour_scores_no_lone_candidate():
     g = grid_tour(pts, wf, 1.0, tiling)
     assert g == grid_tour(pts, EU, 1.0, tiling)
     assert rows and min(rows) > 1
+
+
+def test_grid_tour_batches_its_kernel_calls():
+    # at a = 1 every cell is small: the entries into the cells and the walks
+    # over them take a few kernel calls per tour, not one per walk step
+    # (about 1500 here)
+    calls = []
+
+    def counted(u, v):
+        calls.append(u.shape)
+        return _euclid(u, v)
+
+    wf = make_weight_function("custom", func=counted, c1=1.0, c2=1.0, is_metric=True)
+    n = 4096
+    pts = random_points(n, seed=1)
+    tiling = build_tiling(n, 1.0)
+    assert grid_tour(pts, wf, 1.0, tiling) == grid_tour(pts, EU, 1.0, tiling)
+    assert len(calls) <= 24
 
 
 # ---------------------------------------------------------------------------

@@ -251,3 +251,18 @@ def test_custom_rejects_bad_h0(h0):
     with pytest.raises(ValueError, match="h0 must be positive and finite"):
         make_weight_function("custom", func=_euclid, c1=1.0, c2=1.0, h0=h0)
     assert make_weight_function("custom", func=_euclid, c1=1.0, c2=1.0, h0=1.0).h0 == 1.0
+
+
+@pytest.mark.parametrize("kind", BUILTIN_KINDS)
+def test_builtin_kinds_reject_parameters(kind):
+    # a built-in kind fixes its own constants: c2=5.0 used to be dropped
+    with pytest.raises(ValueError, match=r"unknown .* weight parameters: \['c2', 'scale'\]"):
+        make_weight_function(kind, c2=5.0, scale=2)
+
+
+@pytest.mark.parametrize("missing", ["func", "c1", "c2"])
+def test_custom_names_a_missing_parameter(missing):
+    params = {"func": _euclid, "c1": 1.0, "c2": 1.0}
+    del params[missing]
+    with pytest.raises(ValueError, match=rf"needs the parameters \['{missing}'\]"):
+        make_weight_function("custom", **params)
