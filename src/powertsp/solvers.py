@@ -3,10 +3,13 @@
 Exact solvers: a full permutation scan (oracle, n <= 10) and a bitmask
 dynamic program (n <= 18), both returning the lexicographically smallest
 canonical optimal order.  The dynamic program fills its completion table
-one popcount layer at a time, from the full mask down, with one vectorised
-minimum per target node; a cycle's table is indexed by ``mask >> 1``
-(every mask it reads holds node 0), so it takes 8·n·2^(n-1) bytes.  The
-permutation scan shares no code with it.  Constructive solver: the
+one popcount layer at a time, from the full mask down, each block of a
+layer's rows with one gather over every next node and one minimum; a
+cycle's table is indexed by ``mask >> 1`` (every mask it reads holds node
+0), so it takes 8·n·2^(n-1) bytes.  The permutation scan shares no code
+with it: it sums every cycle at once over an int8 table of permutation
+rows, built as whole arrays.  Both read the optimal tour's weight off the
+weight matrix they built, with no second kernel pass.  Constructive solver: the
 cell-chained tour that strings nearest-neighbor paths through dense cells
 (>= 3 nodes) and sparse cells (1-2 nodes) of a tiling in serpentine label
 order and merges the two chains into a spanning cycle.  Cells of at most
@@ -27,9 +30,9 @@ path, and the dense/sparse label-gap statistics.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
 import numpy as np
 
@@ -41,7 +44,8 @@ EXACT_TOUR_MAX_N = 18
 EXACT_PATH_MAX_N = 16
 CANDIDATE_K = 10  # candidate list length of two_opt
 CELL_NODES = 2  # mean nodes per cell of the candidate search grid
-# (node, candidate) pairs scored at once by the candidate search and grid_tour
+# (node, candidate) pairs scored at once by the candidate search and grid_tour,
+# and candidate sums per row block of the completion table
 SEARCH_PAIRS = 1 << 16
 EVAL_NODES = 256  # active nodes whose moves two_opt scores at once
 # grid_tour walks a cell of at most this many nodes ahead of time, from every
@@ -97,11 +101,18 @@ class ApproxPathRecord:
 
 
 def _validate_permutation(order, n: int) -> np.ndarray:
-    """``order`` as a new intp array, after checking that it holds each of
-    0..n-1 once."""
-    idx = np.array(order, dtype=np.intp)
-    if idx.shape != (n,) or (n and not (0 <= idx.min() and idx.max() < n
-                                        and (np.bincount(idx, minlength=n) == 1).all())):
+    """``order`` as a new int64 array, after checking that its entries are
+    integers and that it holds each of 0..n-1 once."""
+    # array("q") takes integers alone (a float raises TypeError) and reads a
+    # tuple as fast as np.array with a dtype; np.asarray would first scan
+    # every entry for a common dtype, about 0.1 ms more at 4096 entries
+    try:
+        idx = np.frombuffer(array("q", order), dtype=np.int64)
+    except (TypeError, OverflowError):
+        raise ValueError(f"order is not a permutation of 0..{n - 1}: "
+                         "its entries are not integers") from None
+    if idx.size != n or (n and not (0 <= idx.min() and idx.max() < n
+                                    and (np.bincount(idx, minlength=n) == 1).all())):
         raise ValueError(f"order is not a permutation of 0..{n - 1}")
     return idx
 
@@ -128,6 +139,30 @@ def tour_weight(points, order, wf: WeightFunction, alpha: float) -> float:
     return float(np.sum(edge_weight_pairs(wf, alpha, po, np.roll(po, -1, axis=0))))
 
 
+def _cycle_weight(mat: np.ndarray, order: tuple[int, ...]) -> float:
+    """``tour_weight`` of ``order`` read off its weight matrix: the same
+    edges, whose weights equal its kernel's bit for bit, summed in the same
+    order."""
+    return float(mat[order, order[1:] + order[:1]].sum())
+
+
+def _cycle_rows(n: int) -> np.ndarray:
+    """One int8 row per cycle through node 0, its other nodes in visiting
+    order, in the lexicographic order of ``itertools.permutations(range(1,
+    n))`` less every row with p[0] > p[-1], which reflects an earlier one."""
+    perms = np.zeros((1, 0), dtype=np.int8)
+    for m in range(1, n):
+        # the m! orders of 0..m-1: each first value f in turn, followed by
+        # the orders of 0..m-2 with every value >= f moved up by one
+        first = np.repeat(np.arange(m, dtype=np.int8), len(perms))[:, None]
+        rest = np.tile(perms, (m, 1))
+        rest += rest >= first
+        perms = np.hstack((first, rest))
+    perms = perms[perms[:, 0] <= perms[:, -1]]
+    perms += 1
+    return perms
+
+
 def tsp_bruteforce(points, wf: WeightFunction, alpha: float) -> Tour:
     """Minimum-weight spanning cycle by scanning all (n-1)!/2 distinct
     cycles; ties (within float-rounding tolerance, so mathematically equal
@@ -138,9 +173,7 @@ def tsp_bruteforce(points, wf: WeightFunction, alpha: float) -> Tour:
     if not (2 <= n <= BRUTEFORCE_MAX_N):
         raise ValueError(f"brute force handles 2 <= n <= {BRUTEFORCE_MAX_N}, got {n}")
     mat = weight_matrix(wf, alpha, pts)
-    # one row per cycle; a row with p[0] > p[-1] reflects an earlier one
-    perms = np.fromiter((p for p in permutations(range(1, n)) if p[0] <= p[-1]),
-                        dtype=np.dtype((np.intp, (n - 1,))))
+    perms = _cycle_rows(n)
     # summed edge by edge from node 0, the float order of a loop over a cycle
     weights = mat[0, perms[:, 0]]
     for k in range(1, n - 1):
@@ -150,7 +183,7 @@ def tsp_bruteforce(points, wf: WeightFunction, alpha: float) -> Tour:
     tol = 1e-12 * (1.0 + abs(best_w))
     first = int(np.flatnonzero(weights <= best_w + tol)[0])
     order = (0,) + tuple(perms[first].tolist())
-    return Tour(order=order, weight=tour_weight(pts, order, wf, alpha))
+    return Tour(order=order, weight=_cycle_weight(mat, order))
 
 
 @lru_cache(maxsize=None)
@@ -174,25 +207,29 @@ def _completion_table(mat: np.ndarray) -> np.ndarray:
     and stands at j with ``mask`` (which holds node 0) already visited —
     visiting every remaining node once, then the edge back to node 0.
 
-    Rows are filled from the full mask down, one popcount layer at a time,
-    with one vectorised minimum per target node over the whole layer (the
-    Held–Karp/Bellman recursion).  Every mask read holds bit 0, so the
-    table holds 2^(n-1) rows, 8·n·2^(n-1) bytes.  Entries for j outside
-    mask are filled but never read.
+    Rows are filled from the full mask down, one popcount layer at a time
+    (the Held–Karp/Bellman recursion).  A block of a layer's rows takes one
+    gather of h at every next node t and one minimum over t of that gather
+    plus mat[j, t], through an (n-1) x rows x n temporary of at most
+    ``SEARCH_PAIRS`` entries.  Each candidate is the same float sum in any
+    order of t, and a minimum does not depend on it, so the table does not
+    either.  Every mask read holds bit 0, so the table holds 2^(n-1) rows,
+    8·n·2^(n-1) bytes.  Entries for j outside mask are filled but never
+    read.
     """
     n = mat.shape[0]
     bits = n - 1
     h = np.full((1 << bits, n), np.inf)
     h[-1, :] = mat[:, 0]
-    layers = _popcount_layers(bits)
-    targets = [(t, 1 << (t - 1), mat[:, t]) for t in range(1, n)]
-    for k in range(bits - 1, -1, -1):
-        rows = layers[k]
-        acc = np.full((rows.size, n), np.inf)
-        for t, bit, col in targets:
+    t = np.arange(1, n)[:, None]
+    tbits = 1 << (t - 1)
+    cols = mat[:, 1:].T[:, None, :]
+    step = max(1, SEARCH_PAIRS // (bits * n))
+    for rows in reversed(_popcount_layers(bits)[:-1]):
+        for s in range(0, rows.size, step):
+            block = rows[s:s + step]
             # rows already holding t look up their own, still-infinite row
-            np.minimum(acc, h[rows | bit, t][:, None] + col[None, :], out=acc)
-        h[rows] = acc
+            h[block] = (h[block | tbits, t][:, :, None] + cols).min(axis=0)
     return h
 
 
@@ -231,7 +268,7 @@ def tsp_exact(points, wf: WeightFunction, alpha: float) -> Tour:
         raise ValueError(f"exact solver handles 2 <= n <= {EXACT_TOUR_MAX_N}, got {n}")
     mat = weight_matrix(wf, alpha, pts)
     order = canonical_cycle(_greedy_reconstruct(mat, _completion_table(mat), [0]))
-    return Tour(order=order, weight=tour_weight(pts, order, wf, alpha))
+    return Tour(order=order, weight=_cycle_weight(mat, order))
 
 
 def min_weight_spanning_path(

@@ -16,7 +16,9 @@ from powertsp.solvers import (
     Tour,
     _candidate_lists,
     _completion_table,
+    _cycle_rows,
     _nn_within,
+    _popcount_layers,
     approx_tsp_path,
     canonical_cycle,
     gap_statistics,
@@ -83,8 +85,10 @@ def test_tour_weight_validation():
 
 
 @pytest.mark.parametrize("order", [(0, 1, 1, 3), (1, 2, 3), (0, 1, 2, 4), (0, 1, 2, -1),
-                                   (0, 1, 2, 3, 0), ((0, 1), (2, 3))],
-                         ids=["repeated", "missing", "above", "negative", "long", "nested"])
+                                   (0, 1, 2, 3, 0), ((0, 1), (2, 3)), (0.0, 1.9, 2.2, 3.7),
+                                   np.arange(4.0)],
+                         ids=["repeated", "missing", "above", "negative", "long", "nested",
+                              "fractional", "float"])
 def test_tour_solvers_reject_an_order_that_is_not_a_permutation(order):
     with pytest.raises(ValueError, match=r"order is not a permutation of 0\.\.3"):
         tour_weight(CORNERS, order, EU, 1.0)
@@ -165,6 +169,42 @@ def test_exact_equals_bruteforce_on_tied_optima():
             b = tsp_bruteforce(pts, EU, alpha)
             assert a.order == b.order
             assert a.weight == pytest.approx(b.weight, rel=1e-9)
+
+
+def test_cycle_rows_follow_the_permutation_order():
+    # the row order is the tie-break contract: the first tied row wins
+    for n in range(2, 11):
+        rows = _cycle_rows(n)
+        assert rows.dtype == np.int8
+        assert rows.tolist() == [list(p) for p in permutations(range(1, n)) if p[0] <= p[-1]]
+
+
+@pytest.mark.parametrize("n", [17, 18])
+def test_exact_returns_the_hull_order_at_the_cap(n):
+    # points in convex position: under the euclidean weight at alpha = 1 the
+    # hull order is the one optimal tour; layers here span several row blocks
+    bits = n - 1
+    assert max(map(len, _popcount_layers(bits))) > 2 * solvers.SEARCH_PAIRS // (bits * n)
+    rng = np.random.default_rng(n)
+    angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+    hull = 0.45 * np.column_stack((np.cos(angles), np.sin(angles)))
+    perm = rng.permutation(n)  # input point perm[i] is hull point i
+    pts = np.empty_like(hull)
+    pts[perm] = hull
+    t = tsp_exact(pts, EU, 1.0)
+    assert t.order == canonical_cycle(perm.tolist())
+    assert t.weight == tour_weight(pts, t.order, EU, 1.0)
+
+
+@pytest.mark.parametrize("pairs", [1, 64, 1000])
+def test_completion_table_does_not_depend_on_its_blocks(pairs, monkeypatch):
+    # blocks of one row, of a few rows, and layers cut at uneven places
+    for n in (2, 5, 9, 12):
+        mat = weight_matrix(make_weight_function("radial_metric"), 1.5, random_points(n, seed=50 + n))
+        whole = _completion_table(mat)
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "SEARCH_PAIRS", pairs)
+            assert np.array_equal(_completion_table(mat), whole), n
 
 
 def test_exact_two_nodes():
