@@ -1,14 +1,17 @@
 """Golden-bytes fixtures: the JSON and CSV report of one small config per
-experiment kind, the stdout of ``beta --curve``, and the ``verify`` lines of
-an invariant suite run against a sabotaged exact solver, frozen so that any
-refactor of the experiment pipeline, the report codec, the bracket formulas
-or the invariant suite has to reproduce them byte for byte.
+experiment kind, the stdout of ``beta --curve``, the ``verify`` lines of
+an invariant suite run against a sabotaged exact solver, and the order hash
+and weight of ``two_opt(grid_tour(...))`` on uniform points, frozen so that
+any refactor of the experiment pipeline, the report codec, the bracket
+formulas, the invariant suite or the local search has to reproduce them
+byte for byte.
 
 When a change is meant to move these numbers, regenerate the fixtures with
 ``PYTHONPATH=src python tests/test_golden.py`` and say why in CHANGES.md.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -19,6 +22,7 @@ import pytest
 
 from powertsp import invariants
 from powertsp.cli import main
+from powertsp.geometry import build_tiling
 from powertsp.experiments import (
     RUNNERS,
     ExperimentConfig,
@@ -26,7 +30,9 @@ from powertsp.experiments import (
     report_to_csv,
     report_to_json,
 )
-from powertsp.solvers import Tour
+from powertsp.sampling import build_density, sample_binomial
+from powertsp.solvers import Tour, grid_tour, two_opt
+from powertsp.weights import BUILTIN_KINDS, make_weight_function
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 KINDS = ("scaling", "sandwich", "variance", "convergence", "uniform_ratio")
@@ -36,6 +42,7 @@ BETA_CURVES = {
 }
 BETA_GRID = ["--grid-points", "128"]
 SABOTAGED = "verify_sabotaged.txt"
+POLISHED = "two_opt.csv"
 
 
 def _golden(name: str) -> str:
@@ -73,6 +80,22 @@ def _sabotaged_verify() -> str:
     return "".join(r.line() + "\n" for r in results)
 
 
+def _polished_tours() -> str:
+    """One CSV row per (kind, alpha, n): the sha256 of the polished order,
+    written as comma-separated node indices, and the repr of its weight."""
+    uniform = build_density("uniform", 1.0, 1.0)
+    rows = ["kind,alpha,n,order_sha256,weight\n"]
+    for kind in BUILTIN_KINDS:
+        wf = make_weight_function(kind)
+        for alpha in (0.5, 1.0, 1.5, 2.0):
+            for n in (100, 1000):
+                pts = sample_binomial(uniform, n, 19, stream=(n,)).points
+                tour = two_opt(pts, grid_tour(pts, wf, alpha, build_tiling(n, 1.0)), wf, alpha)
+                digest = hashlib.sha256(",".join(map(str, tour.order)).encode()).hexdigest()
+                rows.append(f"{kind},{alpha!r},{n},{digest},{tour.weight!r}\n")
+    return "".join(rows)
+
+
 def _read(name: str) -> str:
     with open(_golden(name), newline="") as fh:
         return fh.read()
@@ -102,6 +125,10 @@ def test_sabotaged_verify_matches_golden():
     assert _sabotaged_verify() == _read(SABOTAGED)
 
 
+def test_polished_tours_match_golden():
+    assert _polished_tours() == _read(POLISHED)
+
+
 def regenerate() -> None:
     for kind in KINDS:
         report = _report(kind)
@@ -113,6 +140,8 @@ def regenerate() -> None:
             fh.write(_beta_curve(flags))
     with open(_golden(SABOTAGED), "w", newline="") as fh:
         fh.write(_sabotaged_verify())
+    with open(_golden(POLISHED), "w", newline="") as fh:
+        fh.write(_polished_tours())
 
 
 if __name__ == "__main__":
