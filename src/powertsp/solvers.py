@@ -389,27 +389,21 @@ def _candidate_lists(pts: np.ndarray, wf: WeightFunction) -> tuple[np.ndarray, n
 # node at _SEG_Z[j] (forward, then back) and c's edge the same way.
 _SEG_LEN = np.array([1, 2, 3, 2, 3, 0, 0])
 _SEG_Z = np.array([0, 1, 2, -1, -2, 1, -1])
+_SEG_SPAN = np.array([[0, 0], [0, 1], [0, 2], [-1, 0], [-2, 0]])  # the segment's offsets
 _REACH = 3  # the largest offset a row reads: an Or-opt segment's far neighbour
 _Z_ROW = _SEG_Z + _REACH  # z's row among the nodes at offsets -3..3
-# The weight a row drops besides c's edge: an Or-opt segment's two outside
-# edges minus the bridge that closes the gap it leaves, or a's 2-opt edge.
-# Each term is a chord (t[p], t[p + d]) of the tour, given as
-# (d - 1, p - pa); row 4 of the chord table is zeros.
-_DROP = np.array([
-    [[0, -1], [0, 0], [1, -1]],
-    [[0, -1], [0, 1], [2, -1]],
-    [[0, -1], [0, 2], [3, -1]],
-    [[0, 0], [0, -2], [2, -2]],
-    [[0, 0], [0, -3], [3, -3]],
-    [[0, 0], [4, 0], [4, 0]],
-    [[0, -1], [4, 0], [4, 0]],
-]).transpose(2, 1, 0)[..., None]
+# The tour edges a row drops besides c's edge, as the rows among offsets
+# -3..3 of their earlier ends: an Or-opt row's edges into and out of the
+# segment (_OUT), whose outer ends the bridge (_BRIDGE) joins to close the
+# gap the segment leaves, or a 2-opt row's edge (a, b) (_EDGE).
+_OUT = _SEG_SPAN + [-1, 0] + _REACH
+_BRIDGE = _SEG_SPAN + [-1, 1] + _REACH
+_EDGE = np.minimum(_SEG_Z[5:], 0) + _REACH
 # Moves that are not moves, as closed ranges of the signed tour offset from a:
 # an Or-opt c or e inside the segment; a 2-opt c at b, its d = e at a, or e
 # on the other side of c than the row's direction.  The penalty table
 # _PENALTY[row, side, c's offset, e's offset] takes offsets clipped to
 # [-3, 3], since no range reaches +-3, and holds -inf for those moves.
-_SEG_SPAN = np.array([[0, 0], [0, 1], [0, 2], [-1, 0], [-2, 0]])
 _BAD_C = np.concatenate((_SEG_SPAN, [[1, 1], [-1, -1]]))
 _BAD_E = np.concatenate((np.repeat(_SEG_SPAN[:, None], 2, axis=1),
                          [[[0, 0], [-3, 3]], [[-3, 3], [0, 0]]]))
@@ -459,21 +453,26 @@ def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarr
     node's candidate list, until no such move gains more than
     tol = 1e-12·(1 + the start tour's weight).
 
-    Each wave scores every move of its active nodes as whole arrays, in
-    chunks of ``EVAL_NODES`` nodes: the 2-opt moves that join a node a to a
-    candidate c, in both tour directions, and the Or-opt moves that carry a
-    segment of 1-3 nodes ending at a into a tour edge (c, e), e either tour
-    neighbour of c, with a joined to c.  Each node proposes its best move,
-    and the proposals are applied best gain first.  A proposal is skipped
-    when an earlier move of the wave touched one of its nodes (its edges
-    may be gone), or when the two edges of a 2-opt move no longer point the
-    same way (a reversal between them flipped one).  Nodes that a move
-    touched, or whose proposal was skipped, stay active; the others are not
-    scored again until a move touches them (don't-look bits), unless at
-    most ``FULL_WAVE_SLACK`` nodes would sit out.  A wave that finds nothing
-    is followed by one over every node, and the search ends when a wave
-    over every node finds nothing.  Every applied move gains more than
-    tol, so the search ends.
+    The tour is held as its order ``t``, the position ``pos`` of each node
+    and the weight w[p] of each edge (t[p], t[p + 1]), which one kernel call
+    recomputes after each wave.  Each wave scores every move of its active
+    nodes as whole arrays, in chunks of ``EVAL_NODES`` nodes: the 2-opt
+    moves that join a node a to a candidate c, in both tour directions, and
+    the Or-opt moves that carry a segment of 1-3 nodes ending at a into a
+    tour edge (c, e), e either tour neighbour of c, with a joined to c.  A
+    move's gain is the weight it drops, read off w, minus the weight it
+    adds: the edge (a, c), read off the candidate lists, and the edge from
+    e and an Or-opt move's bridge, each scored by one kernel call per chunk.
+    Each node proposes its best move, with the c and e it was scored with,
+    and the proposals are applied best gain first.  A proposal is skipped when an earlier move of the wave touched
+    one of its nodes (its edges may be gone), or when the two edges of a
+    2-opt move no longer point the same way (a reversal between them
+    flipped one).  Nodes that a move touched, or whose proposal was
+    skipped, stay active; the others are not scored again until a move
+    touches them (don't-look bits), unless at most ``FULL_WAVE_SLACK`` nodes
+    would sit out.  A wave that finds nothing is followed by one over every
+    node, and the search ends when a wave over every node finds nothing.
+    Every applied move gains more than tol, so the search ends.
     """
     n = t.size
     nb, hb = _candidate_lists(pts, wf)
@@ -488,24 +487,10 @@ def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarr
     off = (np.arange(2 * n + 1) + n // 2) % n - n // 2
     off = np.minimum(np.maximum(off, -_REACH), _REACH) + _REACH
     columns = off[1:-1] * _OFF.size + np.stack((off[2:], off[:-2]))
-    ahead = (np.arange(n) + np.arange(1, 5)[:, None]) % n
     pos = np.empty(n, dtype=np.intp)
     pos[t] = np.arange(n)
-    drop_at = _DROP[0] * n
-    chord = np.zeros((5, n))
-    ends = np.empty((2, n), dtype=np.intp)  # (succ v, pred v)
-    ew = np.empty((2, n))  # (w(v, succ v), w(pred v, v))
-
-    def read_tour():
-        chord[:4] = wf.h_pairs(pts[t], pts[t[ahead]]) ** alpha
-        nxt = t[ahead[0]]
-        ends[0, t] = nxt
-        ends[1, nxt] = t
-        ew[0, t] = chord[0]
-        ew[1, nxt] = chord[0]
-
-    read_tour()
-    tol = 1e-12 * (1.0 + chord[0].sum())  # the edges summed as tour_weight sums them
+    w = wf.h_pairs(pts[t], pts[np.roll(t, -1)]) ** alpha
+    tol = 1e-12 * (1.0 + w.sum())  # the edges summed as tour_weight sums them
     active = np.arange(n)
     every = True
     while True:
@@ -515,35 +500,38 @@ def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarr
         for s in range(0, active.size, EVAL_NODES):
             a = active[s:s + EVAL_NODES]
             pa = pos[a]
-            near = t[(pa + _OFF[:, None]) % n]  # the nodes at offsets -3..3
+            around = (pa + _OFF[:, None]) % n  # the positions at offsets -3..3
+            near = t.take(around)
+            w_at = w.take(around)
+            drop = np.concatenate((
+                (w_at[_OUT[:, 0]] + w_at[_OUT[:, 1]])
+                - wf.h_pairs(pts[near[_BRIDGE[:, 0]]], pts[near[_BRIDGE[:, 1]]]) ** alpha,
+                w_at[_EDGE]))
             c = nb_t.take(a, axis=1)
-            e = ends.take(c, axis=1)
-            drop = chord.take(drop_at + (pa + _DROP[1]) % n)
-            gain = ((drop[0] + drop[1] - drop[2])[:, None, None]
-                    + (ew.take(c, axis=1) - w_ac.take(a, axis=1))) \
+            pc = pos.take(c)
+            # e = succ c, then pred c, and the weight of c's edge to it
+            e = t.take(np.stack((pc + 1, pc - 1)) % n)
+            w_ce = w.take(np.stack((pc, pc - 1)))
+            gain = (drop[:, None, None] + (w_ce - w_ac.take(a, axis=1))) \
                 - wf.h_pairs(pts[near[_Z_ROW]][:, None, None], pts[e]) ** alpha
-            gain += penalty.take(_ROW_SIDE + columns.take(pos[c] + (n - 1 - pa), axis=1))
-            gain = gain.reshape(-1, a.size)
-            best = gain.argmax(axis=0)
-            gbest = gain[best, np.arange(a.size)]
-            hit = gbest > tol
-            found.append((gbest[hit], a[hit], best[hit], near[:, hit].T))
+            gain += penalty.take(_ROW_SIDE + columns.take(pc + (n - 1 - pa), axis=1))
+            flat = gain.reshape(-1, a.size)
+            best = flat.argmax(axis=0)
+            gbest = flat[best, np.arange(a.size)]
+            hit = np.flatnonzero(gbest > tol)
+            j, side, k = np.unravel_index(best[hit], gain.shape[:3])
+            found.append((gbest[hit], a[hit], j, c[k, hit], e[side, k, hit], near[:, hit].T))
         gains = np.concatenate([f[0] for f in found])
         if not gains.size:
             if every:
                 return
             active, every = np.arange(n), True
             continue
-        a_hit, code, near_hit = (np.concatenate([f[i] for f in found]).tolist()
-                                 for i in (1, 2, 3))
-        touched = bytearray(n)
-        kept = []
+        a_hit, j_hit, c_hit, e_hit, near_hit = (np.concatenate([f[i] for f in found]).tolist()
+                                                for i in range(1, 6))
+        touched, kept = set(), []
         for i in (-gains).argsort(kind="stable").tolist():
-            a, at = a_hit[i], near_hit[i]
-            j, rest = divmod(code[i], 2 * kk)
-            side, k = divmod(rest, kk)
-            c = int(nb[a, k])
-            e = int(ends[side, c])
+            a, j, c, e, at = a_hit[i], j_hit[i], c_hit[i], e_hit[i], near_hit[i]
             if j < 5:  # Or-opt: segment j into the edge (c, e)
                 step, length = (1 if j < 3 else -1), int(_SEG_LEN[j])
                 path = at[_REACH:_REACH + step * length:step]
@@ -551,7 +539,7 @@ def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarr
             else:  # 2-opt: edges (a, b) and (c, e) become (a, c) and (b, e)
                 b = at[_REACH + _SEG_Z[j]]
                 nodes = [a, b, c, e]
-            if any(touched[v] for v in nodes):
+            if not touched.isdisjoint(nodes):
                 kept.append(a)
                 continue
             if j < 5:
@@ -563,12 +551,9 @@ def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarr
             else:
                 kept.append(a)
                 continue
-            for v in nodes:
-                touched[v] = 1
-        read_tour()
-        mark = np.frombuffer(touched, dtype=np.uint8).copy()
-        mark[kept] = 1
-        active = mark.nonzero()[0]
+            touched.update(nodes)
+        w = wf.h_pairs(pts[t], pts[np.roll(t, -1)]) ** alpha
+        active = np.array(sorted(touched.union(kept)))
         if active.size + FULL_WAVE_SLACK >= n:
             active = np.arange(n)
         every = active.size == n
