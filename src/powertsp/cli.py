@@ -134,13 +134,13 @@ def cmd_beta(args) -> int:
             raise CliError(f"--alpha-step must be positive, got {args.alpha_step}")
         if args.alpha_min > args.alpha_max:
             raise CliError(f"--alpha-min {args.alpha_min} exceeds --alpha-max {args.alpha_max}")
-        alphas = np.arange(args.alpha_min, args.alpha_max + 1e-12, args.alpha_step)
-        print("alpha,beta_low,beta_up,argA_low,argA_up")
-        for alpha in alphas:
-            low, up = beta_bounds(float(alpha), args.eps1, args.eps2,
+        rows = []  # every row before any output, so that a failure prints nothing
+        for alpha in np.arange(args.alpha_min, args.alpha_max + 1e-12, args.alpha_step).tolist():
+            low, up = beta_bounds(alpha, args.eps1, args.eps2,
                                   a_max=args.a_max, grid_points=args.grid_points,
                                   refine_tol=args.refine_tol)
-            print(f"{float(alpha)!r},{low.value!r},{up.value!r},{low.arg_a!r},{up.arg_a!r}")
+            rows.append(f"{alpha!r},{low.value!r},{up.value!r},{low.arg_a!r},{up.arg_a!r}\n")
+        sys.stdout.write("alpha,beta_low,beta_up,argA_low,argA_up\n" + "".join(rows))
         return EXIT_OK
     if args.alpha is None:
         raise CliError("--alpha is required unless --curve is given")

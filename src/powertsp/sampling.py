@@ -21,8 +21,12 @@ _INTEGRAL_TOL = 1e-12
 
 
 def make_rng(seed: int, stream: tuple[int, ...] = ()) -> np.random.Generator:
-    """Philox generator on an independent stream keyed by (seed, *stream)."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed),) + tuple(int(s) for s in stream))))
+    """Philox generator on an independent stream keyed by (seed, *stream).
+    Raises ValueError for a negative seed."""
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed,) + tuple(int(s) for s in stream))))
 
 
 @dataclass(frozen=True)

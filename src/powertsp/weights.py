@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import as_coords
+from .sampling import make_rng
 
 ROOT2 = math.sqrt(2.0)
 
@@ -183,7 +184,7 @@ def verify_equivalence(wf: WeightFunction, sample_count: int, seed: int = 0) -> 
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0x7E57))))
+    rng = make_rng(seed, (0x7E57,))
     tol = 1e-9
     u = rng.uniform(-0.5, 0.5, size=(sample_count, 2))
     v = rng.uniform(-0.5, 0.5, size=(sample_count, 2))

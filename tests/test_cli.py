@@ -232,6 +232,11 @@ def run_cli_process(*argv):
     (["beta", "--curve", "--alpha-step", "0"], "--alpha-step must be positive"),
     (["beta", "--curve", "--alpha-step", "-0.25"], "--alpha-step must be positive"),
     (["beta", "--curve", "--alpha-min", "2", "--alpha-max", "1"], "exceeds --alpha-max"),
+    # a curve that fails part-way prints no CSV header either
+    (["beta", "--curve", "--eps1", "-1"], "need 0 < eps1 <= eps2"),
+    (["beta", "--curve", "--alpha-min", "0"], "alpha and a_max must be positive and finite"),
+    (["beta", "--curve", "--a-max", "-1"], "alpha and a_max must be positive and finite"),
+    (["verify", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
     (["beta", "--alpha", "1", "--refine-tol", "0"], "refine_tol must be positive"),
     (["bounds", "--alpha", "200", "--a", "5"], "did not reach tol=1e-09"),
     (["bounds", "--alpha", "2", "--c2", "1e300"], "numbers out of range"),
@@ -370,6 +375,17 @@ def test_wrongly_typed_config_fails_at_the_boundary(tmp_path, patch, message):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
+
+
+@pytest.mark.parametrize("flags, patch", [(["--seed", "-1"], {}), ([], {"seed": -1})])
+def test_negative_seed_fails_at_the_boundary(tmp_path, flags, patch):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(SMALL_CONFIG, **patch)))
+    proc = run_cli_process("simulate", "scaling", "--config", str(cfg_path), *flags)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "seed must be a non-negative integer, got -1" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_config_must_be_an_object(tmp_path):

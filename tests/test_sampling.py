@@ -141,6 +141,11 @@ def test_make_rng_streams_disjoint():
     assert not np.array_equal(a, b)
 
 
+def test_make_rng_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        make_rng(-1, (2, 3))
+
+
 class CountingRng:
     """A real generator's draws, passed through and counted."""
 

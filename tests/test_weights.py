@@ -228,6 +228,20 @@ def test_verify_equivalence_flags_asymmetry():
     assert {v["check"] for v in rep.violations} == {"symmetry"}
 
 
+def test_verify_equivalence_draws_from_its_own_philox_stream():
+    # every sample fails the upper check, so the first witness is the first draw
+    wrong = make_weight_function("custom", func=_radial, c1=0.1, c2=0.1)
+    rep = verify_equivalence(wrong, 4, seed=11)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((11, 0x7E57))))
+    u, v = rng.uniform(-0.5, 0.5, size=(2, 4, 2))
+    assert rep.violations[0]["points"] == [list(u[0]), list(v[0])]
+
+
+def test_verify_equivalence_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        verify_equivalence(make_weight_function("euclidean"), 4, seed=-1)
+
+
 def test_verify_equivalence_validates_sample_count():
     with pytest.raises(ValueError):
         verify_equivalence(make_weight_function("euclidean"), 0)
