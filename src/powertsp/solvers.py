@@ -413,6 +413,7 @@ _PENALTY = np.where(
     | ((_BAD_E[..., :1] <= _OFF) & (_OFF <= _BAD_E[..., 1:]))[:, :, None, :],
     -np.inf, 0.0)
 _ROW_SIDE = np.arange(0, _PENALTY.size, _OFF.size ** 2).reshape(7, 2, 1, 1)
+_SIDE_STEP = np.array([1, -1]).reshape(2, 1, 1)  # e = succ c, then pred c
 
 
 def _reverse_path(t: np.ndarray, pos: np.ndarray, i: int, j: int) -> None:
@@ -489,7 +490,7 @@ def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarr
     columns = off[1:-1] * _OFF.size + np.stack((off[2:], off[:-2]))
     pos = np.empty(n, dtype=np.intp)
     pos[t] = np.arange(n)
-    w = wf.h_pairs(pts[t], pts[np.roll(t, -1)]) ** alpha
+    w = wf.h_pairs(pts[t], pts[np.concatenate((t[1:], t[:1]))]) ** alpha
     tol = 1e-12 * (1.0 + w.sum())  # the edges summed as tour_weight sums them
     active = np.arange(n)
     every = True
@@ -502,18 +503,19 @@ def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarr
             pa = pos[a]
             around = (pa + _OFF[:, None]) % n  # the positions at offsets -3..3
             near = t.take(around)
+            xy = pts[near]
             w_at = w.take(around)
             drop = np.concatenate((
                 (w_at[_OUT[:, 0]] + w_at[_OUT[:, 1]])
-                - wf.h_pairs(pts[near[_BRIDGE[:, 0]]], pts[near[_BRIDGE[:, 1]]]) ** alpha,
+                - wf.h_pairs(xy[_BRIDGE[:, 0]], xy[_BRIDGE[:, 1]]) ** alpha,
                 w_at[_EDGE]))
             c = nb_t.take(a, axis=1)
             pc = pos.take(c)
-            # e = succ c, then pred c, and the weight of c's edge to it
-            e = t.take(np.stack((pc + 1, pc - 1)) % n)
-            w_ce = w.take(np.stack((pc, pc - 1)))
+            pe = pc + _SIDE_STEP  # e's position; the edge (c, e) starts at the earlier one
+            e = t.take(pe % n)
+            w_ce = w.take(np.minimum(pc, pe))
             gain = (drop[:, None, None] + (w_ce - w_ac.take(a, axis=1))) \
-                - wf.h_pairs(pts[near[_Z_ROW]][:, None, None], pts[e]) ** alpha
+                - wf.h_pairs(xy[_Z_ROW][:, None, None], pts[e]) ** alpha
             gain += penalty.take(_ROW_SIDE + columns.take(pc + (n - 1 - pa), axis=1))
             flat = gain.reshape(-1, a.size)
             best = flat.argmax(axis=0)
@@ -552,7 +554,7 @@ def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarr
                 kept.append(a)
                 continue
             touched.update(nodes)
-        w = wf.h_pairs(pts[t], pts[np.roll(t, -1)]) ** alpha
+        w = wf.h_pairs(pts[t], pts[np.concatenate((t[1:], t[:1]))]) ** alpha
         active = np.array(sorted(touched.union(kept)))
         if active.size + FULL_WAVE_SLACK >= n:
             active = np.arange(n)
