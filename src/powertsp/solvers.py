@@ -477,7 +477,6 @@ def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarr
     """
     n = t.size
     nb, hb = _candidate_lists(pts, wf)
-    kk = nb.shape[1]
     # candidate-major copies, so that a chunk's gathers come out contiguous
     nb_t, w_ac = nb.T.copy(), (hb ** alpha).T.copy()
     # a segment needs two distinct outside neighbours

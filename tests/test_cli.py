@@ -232,16 +232,16 @@ def run_cli_process(*argv):
     (["beta", "--curve", "--alpha-step", "0"], "--alpha-step must be positive"),
     (["beta", "--curve", "--alpha-step", "-0.25"], "--alpha-step must be positive"),
     (["beta", "--curve", "--alpha-min", "2", "--alpha-max", "1"], "exceeds --alpha-max"),
-    # a curve that fails part-way prints no CSV header either
-    (["beta", "--curve", "--eps1", "-1"], "need 0 < eps1 <= eps2"),
-    (["beta", "--curve", "--alpha-min", "0"], "alpha and a_max must be positive and finite"),
-    (["beta", "--curve", "--a-max", "-1"], "alpha and a_max must be positive and finite"),
-    (["verify", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
     (["beta", "--alpha", "1", "--refine-tol", "0"], "refine_tol must be positive"),
     (["bounds", "--alpha", "200", "--a", "5"], "did not reach tol=1e-09"),
     (["bounds", "--alpha", "2", "--c2", "1e300"], "numbers out of range"),
     (["bounds", "--alpha", "1", "--a", "30"], "cannot converge at A=30.0, delta=1.0"),
     (["bounds", "--alpha", "1", "--a", "1e200"], "cannot converge at A=1e+200, delta=1.0"),
+    # a curve that fails part-way prints no CSV header either
+    (["beta", "--curve", "--eps1", "-1"], "need 0 < eps1 <= eps2"),
+    (["beta", "--curve", "--alpha-min", "0"], "alpha and a_max must be positive and finite"),
+    (["beta", "--curve", "--a-max", "-1"], "alpha and a_max must be positive and finite"),
+    (["verify", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
 ])
 def test_bad_numbers_fail_at_the_boundary(argv, message):
     proc = run_cli_process(*argv)

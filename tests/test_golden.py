@@ -22,7 +22,6 @@ import pytest
 
 from powertsp import invariants
 from powertsp.cli import main
-from powertsp.geometry import build_tiling
 from powertsp.experiments import (
     RUNNERS,
     ExperimentConfig,
@@ -30,6 +29,7 @@ from powertsp.experiments import (
     report_to_csv,
     report_to_json,
 )
+from powertsp.geometry import build_tiling
 from powertsp.sampling import build_density, sample_binomial
 from powertsp.solvers import Tour, grid_tour, two_opt
 from powertsp.weights import BUILTIN_KINDS, make_weight_function
