@@ -18,6 +18,10 @@ import numpy as np
 _SERIES_CHUNK = 4096
 _SERIES_KS = np.arange(1, _SERIES_CHUNK + 1, dtype=np.float64)
 _SERIES_LOG_KS = np.log(_SERIES_KS)
+_SERIES_KS_M1 = _SERIES_KS - 1.0
+# np.exp rounds every argument below this to exactly 0.0 (the smallest
+# subnormal is e^-744.4, and exp underflows to 0 below about -745.13)
+_EXP_ZERO_BELOW = -746.0
 _EXPANSION_MAX_TERMS = 64
 _TWO_PI = 2.0 * math.pi
 # B_2j / (2j)! for j = 1..7, the Euler-Maclaurin corrections of _zeta_1p
@@ -118,8 +122,18 @@ def geometric_moment(p: float, alpha: float, tol: float = 1e-9) -> float:
     if not _series_certifies(p, alpha, tol):
         return _lindelof_moment(p, alpha, tol)
     log_q = math.log(1.0 - p)
+    # Each exponent alpha log k + (k-1) log q is at most
+    # alpha log K + (k-1) log q, K = _SERIES_CHUNK, so every term past the
+    # first m is exactly 0.0 and is left out of np.exp, which is slow on
+    # underflowing input.  The sum still runs over all K lanes, so its
+    # pairwise grouping and every bit of the result stay as with all terms
+    # evaluated.
+    reach = alpha * _SERIES_LOG_KS[-1] - _EXP_ZERO_BELOW
+    m = _SERIES_CHUNK if reach >= -log_q * (_SERIES_CHUNK - 1) else int(reach / -log_q) + 1
+    terms = np.zeros(_SERIES_CHUNK)
     with np.errstate(over="ignore"):  # an overflow is reported just below
-        total = float(np.sum(p * np.exp(alpha * _SERIES_LOG_KS + (_SERIES_KS - 1.0) * log_q)))
+        np.exp(alpha * _SERIES_LOG_KS[:m] + _SERIES_KS_M1[:m] * log_q, out=terms[:m])
+    total = float(np.sum(p * terms))
     if not math.isfinite(total):
         raise SeriesConvergenceError(
             f"geometric moment (p={p}, alpha={alpha}) is out of float range")
@@ -318,13 +332,14 @@ def beta_bounds(
         raise ValueError("alpha and a_max must be positive and finite")
     if not refine_tol > 0.0:
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
-    ModelParams(eps1=eps1, eps2=eps2, alpha=alpha)  # reject bad bounds before scanning
+    # rejects bad bounds before scanning
+    delta = ModelParams(eps1=eps1, eps2=eps2, alpha=alpha).delta
     arg_lo, val_lo, sk_lo = _optimize(
         lambda a: lower_rate_objective(a, alpha, eps1, eps2),
         a_max, grid_points, refine_tol, minimize=False,
     )
     arg_up, val_up, sk_up = _optimize(
-        lambda a: upper_rate_objective(a, alpha, eps1, eps2),
+        lambda a: _c2_formula(a, alpha, delta, 1.0, 1e-9),
         a_max, grid_points, refine_tol, minimize=True,
     )
     low = BetaResult(value=val_lo, arg_a=arg_lo, grid_points=grid_points,

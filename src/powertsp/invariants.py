@@ -22,6 +22,7 @@ from .solvers import grid_tour, tsp_bruteforce, tsp_exact, two_opt
 from .weights import BUILTIN_KINDS, ROOT2, make_weight_function
 
 ALPHAS = (0.5, 1.0, 1.5, 2.0)
+MAX_N = 16  # dominance draws up to max_n nodes; the other properties fewer
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ def check_oracle_equivalence(rng: np.random.Generator, case: int, max_n: int) ->
 
 def check_dominance(rng: np.random.Generator, case: int, max_n: int) -> str | None:
     """Constructive tour and its 2-opt polish never beat the exact tour."""
-    wf, alpha, pts = _instance(rng, case, 4, min(max_n, 16))
+    wf, alpha, pts = _instance(rng, case, 4, max_n)
     tiling = build_tiling(len(pts), 1.0)
     exact = tsp_exact(pts, wf, alpha)
     g = grid_tour(pts, wf, alpha, tiling)
@@ -194,6 +195,9 @@ def run_invariant_suite(max_n: int = 9, instances: int = 200, seed: int = 7) -> 
     failing case.  Results keep the declaration order."""
     if max_n < 5:
         raise ValueError("max_n must be >= 5")
+    if max_n > MAX_N:
+        raise ValueError(f"max_n must be <= {MAX_N}, the largest instance any property draws, "
+                         f"got {max_n}")
     if instances < 1:
         raise ValueError("instances must be >= 1")
     results = []

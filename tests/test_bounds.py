@@ -194,6 +194,40 @@ def test_geometric_moment_validation_and_cap():
         geometric_moment(0.7, 200.0)
 
 
+def test_exp_is_exactly_zero_below_the_series_cutoff():
+    # geometric_moment leaves the series terms whose exponent lies below
+    # _EXP_ZERO_BELOW out of np.exp, which is sound only where np.exp
+    # returns exactly 0.0 there
+    x = np.linspace(-1e4, bounds._EXP_ZERO_BELOW, 10001)
+    assert np.all(np.exp(x) == 0.0)
+
+
+def test_geometric_moment_series_is_bit_identical_to_the_full_sum():
+    # the sum over all _SERIES_CHUNK terms, every term evaluated, as
+    # geometric_moment's series path computed it before it skipped the
+    # terms that underflow
+    k = bounds._SERIES_KS
+    log_k = bounds._SERIES_LOG_KS
+
+    def full_sum(p, alpha):
+        return float(np.sum(p * np.exp(alpha * log_k + (k - 1) * math.log(1 - p))))
+
+    checked = 0
+    for alpha in np.linspace(0.25, 3.5, 27):
+        alpha = float(alpha)
+        p_star = series_switch_point(alpha, 1e-9)
+        for p in np.concatenate([np.geomspace(p_star, 0.5, 120), 1.0 - np.geomspace(1e-14, 0.5, 80)]):
+            p = float(p)
+            if bounds._series_certifies(p, alpha, 1e-9):
+                assert geometric_moment(p, alpha) == full_sum(p, alpha), (p, alpha)
+                checked += 1
+    assert checked > 5000
+    # an overflow is still reported when it lies in a prefix shorter than
+    # the chunk: at q = 0.3, alpha = 400 only about 3400 terms are evaluated
+    with pytest.raises(SeriesConvergenceError, match=r"p=0.7, alpha=400.0"):
+        geometric_moment(0.7, 400.0)
+
+
 def test_geometric_moment_matches_mpmath_table():
     rows = mpmath_table("geometric_moments.csv")
     assert {row["alpha"] for row in rows} == set(MOMENT_ALPHAS)

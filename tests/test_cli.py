@@ -242,6 +242,7 @@ def run_cli_process(*argv):
     (["beta", "--curve", "--alpha-min", "0"], "alpha and a_max must be positive and finite"),
     (["beta", "--curve", "--a-max", "-1"], "alpha and a_max must be positive and finite"),
     (["verify", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+    (["verify", "--max-n", "40"], "max_n must be <= 16, the largest instance any property draws, got 40"),
 ])
 def test_bad_numbers_fail_at_the_boundary(argv, message):
     proc = run_cli_process(*argv)

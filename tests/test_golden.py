@@ -8,6 +8,9 @@ byte for byte.
 
 When a change is meant to move these numbers, regenerate the fixtures with
 ``PYTHONPATH=src python tests/test_golden.py`` and say why in CHANGES.md.
+The default 512-point ``beta --curve --eps1 1 --eps2 1`` is also checked
+against the benchmark's ``bench/beta_reference.csv``, which regeneration
+does not write.
 """
 
 import contextlib
@@ -36,11 +39,13 @@ from powertsp.weights import BUILTIN_KINDS, make_weight_function
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 KINDS = ("scaling", "sandwich", "variance", "convergence", "uniform_ratio")
-BETA_CURVES = {
-    "beta_curve_eps1_1_eps2_1.csv": ["--eps1", "1", "--eps2", "1"],
-    "beta_curve_eps1_0.5_eps2_1.5.csv": ["--eps1", "0.5", "--eps2", "1.5"],
-}
 BETA_GRID = ["--grid-points", "128"]
+BETA_CURVES = {
+    "beta_curve_eps1_1_eps2_1.csv": ["--eps1", "1", "--eps2", "1", *BETA_GRID],
+    "beta_curve_eps1_0.5_eps2_1.5.csv": ["--eps1", "0.5", "--eps2", "1.5", *BETA_GRID],
+}
+# the benchmark's reference curve: the default 512-point grid, read only
+BETA_REFERENCE = os.path.join(os.path.dirname(os.path.dirname(GOLDEN)), "bench", "beta_reference.csv")
 SABOTAGED = "verify_sabotaged.txt"
 POLISHED = "two_opt.csv"
 
@@ -57,7 +62,7 @@ def _report(kind: str):
 def _beta_curve(flags: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        assert main(["beta", "--curve", *flags, *BETA_GRID]) == 0
+        assert main(["beta", "--curve", *flags]) == 0
     return out.getvalue()
 
 
@@ -119,6 +124,11 @@ def test_golden_json_decodes_back_to_the_same_bytes(kind):
 @pytest.mark.parametrize("name", sorted(BETA_CURVES))
 def test_beta_curve_matches_golden(name):
     assert _beta_curve(BETA_CURVES[name]) == _read(name)
+
+
+def test_default_beta_curve_matches_benchmark_reference():
+    with open(BETA_REFERENCE, newline="") as fh:
+        assert _beta_curve(["--eps1", "1", "--eps2", "1"]) == fh.read()
 
 
 def test_sabotaged_verify_matches_golden():
