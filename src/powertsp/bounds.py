@@ -10,6 +10,8 @@ tail estimate used to sanity-check empirical frequencies.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +21,14 @@ _SERIES_CHUNK = 4096
 _SERIES_KS = np.arange(1, _SERIES_CHUNK + 1, dtype=np.float64)
 _SERIES_LOG_KS = np.log(_SERIES_KS)
 _SERIES_KS_M1 = _SERIES_KS - 1.0
+# log K as a Python float, read off the table so that it keeps the table's bits
+_LOG_CHUNK = float(_SERIES_LOG_KS[-1])
+# numpy's pairwise sum splits an array of 128 * 2^j floats in halves down to
+# blocks of 128, which it adds with eight accumulators
+_PAIRWISE_BLOCK = 128
+# np.exp overflows only above about 709.78, and a sum of at most K terms
+# each below e^709 / K stays finite
+_EXP_OVERFLOW_ABOVE = 709.0
 # np.exp rounds every argument below this to exactly 0.0 (the smallest
 # subnormal is e^-744.4, and exp underflows to 0 below about -745.13)
 _EXP_ZERO_BELOW = -746.0
@@ -115,8 +125,8 @@ def geometric_moment(p: float, alpha: float, tol: float = 1e-9) -> float:
     """
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie in (0, 1), got {p}")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    if not (0.0 < alpha < math.inf):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if not _series_certifies(p, alpha, tol):
@@ -125,19 +135,37 @@ def geometric_moment(p: float, alpha: float, tol: float = 1e-9) -> float:
     # Each exponent alpha log k + (k-1) log q is at most
     # alpha log K + (k-1) log q, K = _SERIES_CHUNK, so every term past the
     # first m is exactly 0.0 and is left out of np.exp, which is slow on
-    # underflowing input.  The sum still runs over all K lanes, so its
-    # pairwise grouping and every bit of the result stay as with all terms
-    # evaluated.
-    reach = alpha * _SERIES_LOG_KS[-1] - _EXP_ZERO_BELOW
+    # underflowing input.  The result is still the pairwise sum over all K
+    # terms, bit for bit: numpy splits the K lanes in halves down to blocks
+    # of 128, so the first `lanes` = 128 * 2^j >= m of them form one subtree,
+    # every other subtree holds only zeros and sums to +0.0, and adding +0.0
+    # changes no bit.  Only those lanes are allocated and summed.
+    reach = alpha * _LOG_CHUNK - _EXP_ZERO_BELOW
     m = _SERIES_CHUNK if reach >= -log_q * (_SERIES_CHUNK - 1) else int(reach / -log_q) + 1
-    terms = np.zeros(_SERIES_CHUNK)
-    with np.errstate(over="ignore"):  # an overflow is reported just below
-        np.exp(alpha * _SERIES_LOG_KS[:m] + _SERIES_KS_M1[:m] * log_q, out=terms[:m])
-    total = float(np.sum(p * terms))
+    lanes = max(_PAIRWISE_BLOCK, 1 << (m - 1).bit_length())
+    terms = np.zeros(lanes)
+    exponents = _SERIES_KS_M1[:m] * log_q
+    exponents += _alpha_log_ks(alpha)[:m]  # IEEE addition commutes: same bits
+    # np.errstate costs a few microseconds, so it is entered only where a
+    # term or the sum can overflow; that is reported just below
+    may_overflow = (alpha + 1.0) * _LOG_CHUNK >= _EXP_OVERFLOW_ABOVE
+    with np.errstate(over="ignore") if may_overflow else contextlib.nullcontext():
+        np.exp(exponents, out=terms[:m])
+        terms *= p
+        total = float(np.add.reduce(terms))
     if not math.isfinite(total):
         raise SeriesConvergenceError(
             f"geometric moment (p={p}, alpha={alpha}) is out of float range")
     return total
+
+
+@functools.lru_cache(maxsize=8)
+def _alpha_log_ks(alpha: float) -> np.ndarray:
+    """alpha log k for k = 1..K, read-only; every series call at one alpha
+    shares it."""
+    out = alpha * _SERIES_LOG_KS
+    out.flags.writeable = False
+    return out
 
 
 def _series_certifies(p: float, alpha: float, tol: float) -> bool:
@@ -155,10 +183,13 @@ def _series_certifies(p: float, alpha: float, tol: float) -> bool:
     return log_tail < math.log(tol)
 
 
+@functools.lru_cache(maxsize=256)
 def _zeta_1p(x: float) -> float:
     """Riemann zeta at 1 + x, x > 0: the first _EM_N - 1 terms plus the
     Euler-Maclaurin tail with seven Bernoulli corrections.  Taking x rather
-    than s keeps the pole term N^-x / x finite when 1 + x rounds to 1."""
+    than s keeps the pole term N^-x / x finite when 1 + x rounds to 1.
+    Cached: the expansion asks for the same few arguments at every A of a
+    beta_bounds scan."""
     s = 1.0 + x
     n = float(_EM_N)
     n_s = n**-s
@@ -168,7 +199,7 @@ def _zeta_1p(x: float) -> float:
         total += coeff * rising * n_pow
         rising *= (s + 2 * j - 1) * (s + 2 * j)
         n_pow /= n * n
-    return total
+    return float(total)
 
 
 def _lindelof_moment(p: float, alpha: float, tol: float) -> float:
@@ -256,17 +287,6 @@ def deviation_constants(mp: ModelParams, a: float, tol: float = 1e-9) -> tuple[f
             _c2_formula(a, mp.alpha, mp.delta, mp.c2, tol))
 
 
-def lower_rate_objective(a: float, alpha: float, eps1: float, eps2: float) -> float:
-    """beta_low integrand: C1(A) with c1 = 1."""
-    return _c1_formula(a, alpha, eps1, eps2, 1.0)
-
-
-def upper_rate_objective(a: float, alpha: float, eps1: float, eps2: float) -> float:
-    """beta_up integrand: C2(A) with c2 = 1, moments to 1e-9."""
-    delta = ModelParams(eps1=eps1, eps2=eps2, alpha=alpha).delta
-    return _c2_formula(a, alpha, delta, 1.0, 1e-9)
-
-
 def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     """Minimize f on [lo, hi]; returns (argmin, min).  Stops at float
     resolution when tol is finer than the spacing of floats near the
@@ -325,8 +345,9 @@ def beta_bounds(
 ) -> tuple[BetaResult, BetaResult]:
     """The bracket constants (beta_low, beta_up) with their optimizing A.
 
-    beta_low maximizes the lower-rate objective, beta_up minimizes the
-    upper-rate objective, both over A in (0, a_max].
+    beta_low maximizes C1(A) and beta_up minimizes C2(A), both with unit
+    weight constants c1 = c2 = 1, over A in (0, a_max]; C2's moments are
+    taken to 1e-9.
     """
     if not (0.0 < alpha < math.inf and 0.0 < a_max < math.inf):
         raise ValueError("alpha and a_max must be positive and finite")
@@ -335,7 +356,7 @@ def beta_bounds(
     # rejects bad bounds before scanning
     delta = ModelParams(eps1=eps1, eps2=eps2, alpha=alpha).delta
     arg_lo, val_lo, sk_lo = _optimize(
-        lambda a: lower_rate_objective(a, alpha, eps1, eps2),
+        lambda a: _c1_formula(a, alpha, eps1, eps2, 1.0),
         a_max, grid_points, refine_tol, minimize=False,
     )
     arg_up, val_up, sk_up = _optimize(

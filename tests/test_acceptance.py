@@ -315,6 +315,7 @@ def test_criterion_9_variance_exponent_soft():
     ok = 0.25 <= report.slope <= 0.75
     line(9, "variance_exponent[soft]", ok,
          f"slope {report.slope:.4f} in [0.25, 0.75] (predicted {report.predicted_exponent}); "
+         "variance of the unpolished grid_tour construction, not of polished tours; "
          "asymptotic claim, wide band by design")
     assert not report.informational  # alpha < 1 and >= 1000 trials
     assert 0.25 <= report.slope <= 0.75

@@ -15,9 +15,7 @@ from powertsp.bounds import (
     deviation_constants,
     geometric_moment,
     geometric_moment_factorial_bound,
-    lower_rate_objective,
     p_dense,
-    upper_rate_objective,
 )
 
 # ---------------------------------------------------------------------------
@@ -182,6 +180,9 @@ def test_geometric_moment_validation_and_cap():
         geometric_moment(1.0, 1.0)
     with pytest.raises(ValueError):
         geometric_moment(0.5, -1.0)
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"alpha must be positive and finite, got {alpha}"):
+            geometric_moment(0.5, alpha)
     for tol in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="tol must be positive"):
             geometric_moment(0.5, 1.0, tol=tol)
@@ -202,30 +203,97 @@ def test_exp_is_exactly_zero_below_the_series_cutoff():
     assert np.all(np.exp(x) == 0.0)
 
 
-def test_geometric_moment_series_is_bit_identical_to_the_full_sum():
-    # the sum over all _SERIES_CHUNK terms, every term evaluated, as
-    # geometric_moment's series path computed it before it skipped the
-    # terms that underflow
+def full_series_sum(p, alpha):
+    """The sum over all _SERIES_CHUNK terms, every term evaluated, as
+    geometric_moment's series path computed it before it skipped the terms
+    that underflow; inf or nan where the value is out of float range."""
     k = bounds._SERIES_KS
-    log_k = bounds._SERIES_LOG_KS
+    with np.errstate(over="ignore"):
+        return float(np.sum(p * np.exp(alpha * bounds._SERIES_LOG_KS + (k - 1) * math.log(1 - p))))
 
-    def full_sum(p, alpha):
-        return float(np.sum(p * np.exp(alpha * log_k + (k - 1) * math.log(1 - p))))
 
-    checked = 0
-    for alpha in np.linspace(0.25, 3.5, 27):
+def assert_series_matches_full_sum(alphas, ps_per_alpha):
+    """At every certified (p, alpha), geometric_moment returns the full sum
+    bit for bit, or raises SeriesConvergenceError where that is not finite.
+    Returns the number of finite and of failing points checked."""
+    finite = failing = 0
+    for alpha in alphas:
         alpha = float(alpha)
-        p_star = series_switch_point(alpha, 1e-9)
-        for p in np.concatenate([np.geomspace(p_star, 0.5, 120), 1.0 - np.geomspace(1e-14, 0.5, 80)]):
+        for p in ps_per_alpha(alpha):
             p = float(p)
-            if bounds._series_certifies(p, alpha, 1e-9):
-                assert geometric_moment(p, alpha) == full_sum(p, alpha), (p, alpha)
-                checked += 1
-    assert checked > 5000
+            if not bounds._series_certifies(p, alpha, 1e-9):
+                continue
+            expected = full_series_sum(p, alpha)
+            if math.isfinite(expected):
+                assert geometric_moment(p, alpha) == expected, (p, alpha)
+                finite += 1
+            else:
+                with pytest.raises(SeriesConvergenceError, match="out of float range"):
+                    geometric_moment(p, alpha)
+                failing += 1
+    return finite, failing
+
+
+def test_geometric_moment_series_is_bit_identical_to_the_full_sum():
+    def ps(alpha):
+        p_star = series_switch_point(alpha, 1e-9)
+        return np.concatenate([np.geomspace(p_star, 0.5, 120), 1.0 - np.geomspace(1e-14, 0.5, 80)])
+
+    finite, failing = assert_series_matches_full_sum(np.linspace(0.25, 3.5, 27), ps)
+    assert finite > 5000 and failing == 0
     # an overflow is still reported when it lies in a prefix shorter than
     # the chunk: at q = 0.3, alpha = 400 only about 3400 terms are evaluated
     with pytest.raises(SeriesConvergenceError, match=r"p=0.7, alpha=400.0"):
         geometric_moment(0.7, 400.0)
+
+
+def test_geometric_moment_series_across_the_overflow_guard():
+    # np.exp runs without np.errstate while (alpha + 1) log K < 709, which
+    # no longer holds from alpha = 84.24 on; at 80-90 every certified value
+    # is finite, and at 150-400 the largest terms overflow, which must raise
+    # exactly where the full sum is not finite (a RuntimeWarning from an
+    # unguarded overflow fails the test)
+    guard = bounds._EXP_OVERFLOW_ABOVE / bounds._LOG_CHUNK - 1.0
+    alphas = [80.0, 83.0, 84.0, math.nextafter(guard, 0.0), guard, 84.5, 85.0, 85.24, 86.0, 88.0, 90.0]
+    assert 80.0 < guard < 90.0 and sum(a < guard for a in alphas) == 4
+    def ps(alpha):
+        return np.linspace(0.0, 0.95, 200)[1:]
+
+    finite, failing = assert_series_matches_full_sum(alphas, ps)
+    assert finite > 1000 and failing == 0
+    finite, failing = assert_series_matches_full_sum((150.0, 200.0, 300.0, 400.0), ps)
+    assert finite > 100 and failing > 100
+
+
+def test_lanes_of_the_pairwise_sum():
+    # geometric_moment sums only the first 128 * 2^j >= m lanes of the
+    # chunk; that is the chunk's sum bit for bit only if numpy adds an array
+    # of 128 * 2^j floats as a pairwise tree whose leftmost subtree is that
+    # prefix.  Random magnitudes make any other grouping show in the bits
+    rng = np.random.default_rng(3)
+    for m in list(range(1, 300)) + list(rng.integers(300, bounds._SERIES_CHUNK + 1, 300)):
+        lanes = max(bounds._PAIRWISE_BLOCK, 1 << (int(m) - 1).bit_length())
+        terms = np.zeros(bounds._SERIES_CHUNK)
+        terms[:m] = rng.random(m) * np.exp(rng.normal(0.0, 20.0, m))
+        assert np.add.reduce(terms[:lanes].copy()) == np.sum(terms), m
+
+
+def test_caches_do_not_change_beta_bounds():
+    # alpha log k and zeta(1 + x) are cached across calls; a cold run gives
+    # the same bits as a warm one.  alpha = 0.25 and 1.75 take the expansion
+    # at small A and the series elsewhere
+    def bits(results):
+        return [(r.value.hex(), r.arg_a.hex(), r.skipped_points) for r in results]
+
+    for alpha in (0.25, 1.75):
+        bounds._alpha_log_ks.cache_clear()
+        bounds._zeta_1p.cache_clear()
+        cold = beta_bounds(alpha, 0.5, 1.5)
+        assert bounds._alpha_log_ks.cache_info().currsize > 0
+        assert bounds._zeta_1p.cache_info().currsize > 0
+        warm = beta_bounds(alpha, 0.5, 1.5)
+        assert bounds._zeta_1p.cache_info().hits > 0
+        assert bits(cold) == bits(warm)
 
 
 def test_geometric_moment_matches_mpmath_table():
@@ -318,15 +386,16 @@ def test_deviation_constants_delta_branch():
 
 
 def test_rate_objectives_are_the_deviation_constants_at_unit_weights():
-    # the beta objectives and deviation_constants share one home for each
-    # formula, so with c1 = c2 = 1 they agree bit for bit
+    # beta_bounds' objectives are _c1_formula and _c2_formula with unit
+    # weights and moments to 1e-9, the same formulas deviation_constants
+    # evaluates, so with c1 = c2 = 1 they agree bit for bit
     for alpha in (0.25, 1.0, 1.75):
         for eps1, eps2 in ((1.0, 1.0), (0.5, 1.5)):
             mp = ModelParams(eps1=eps1, eps2=eps2, alpha=alpha)
             for a in np.linspace(0.5, 3.0, 11):
                 c1_const, c2_const = deviation_constants(mp, float(a))
-                assert lower_rate_objective(float(a), alpha, eps1, eps2) == c1_const
-                assert upper_rate_objective(float(a), alpha, eps1, eps2) == c2_const
+                assert bounds._c1_formula(float(a), alpha, eps1, eps2, 1.0) == c1_const
+                assert bounds._c2_formula(float(a), alpha, mp.delta, 1.0, 1e-9) == c2_const
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +420,16 @@ def grid_oracle(objective, a_max, points, minimize):
 def test_beta_bounds_homogeneous_alpha1():
     low, up = beta_bounds(1.0, 1.0, 1.0, grid_points=256)
     assert isinstance(low, BetaResult) and isinstance(up, BetaResult)
-    # oracle: plain grid scan, 2000 points
-    a_lo, v_lo = grid_oracle(lambda a: lower_rate_objective(a, 1.0, 1.0, 1.0), 5.0, 2000, minimize=False)
-    a_up, v_up = grid_oracle(lambda a: upper_rate_objective(a, 1.0, 1.0, 1.0), 5.0, 2000, minimize=True)
+    # oracle: plain grid scan, 2000 points, of C1 and C2 at unit weights
+    # (delta = eps1 = eps2 = 1)
+    def c1(a):
+        return bounds._c1_formula(a, 1.0, 1.0, 1.0, 1.0)
+
+    def c2(a):
+        return bounds._c2_formula(a, 1.0, 1.0, 1.0, 1e-9)
+
+    a_lo, v_lo = grid_oracle(c1, 5.0, 2000, minimize=False)
+    a_up, v_up = grid_oracle(c2, 5.0, 2000, minimize=True)
     assert low.value == pytest.approx(v_lo, rel=1e-3)
     assert up.value == pytest.approx(v_up, rel=1e-3)
     assert low.value == pytest.approx(0.147, abs=0.002)
@@ -361,8 +437,8 @@ def test_beta_bounds_homogeneous_alpha1():
     assert up.value == pytest.approx(8.15, abs=0.05)
     assert up.arg_a == pytest.approx(1.67, abs=0.05)
     # refined values can only improve on their own grid scan
-    assert low.value >= lower_rate_objective(low.arg_a, 1.0, 1.0, 1.0) - 1e-12
-    assert up.value <= upper_rate_objective(up.arg_a, 1.0, 1.0, 1.0) + 1e-12
+    assert low.value >= c1(low.arg_a) - 1e-12
+    assert up.value <= c2(up.arg_a) + 1e-12
 
 
 def test_beta_low_below_beta_up():
