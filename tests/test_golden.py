@@ -1,7 +1,8 @@
 """Golden-bytes fixtures: the JSON and CSV report of one small config per
 experiment kind, the stdout of ``beta --curve``, the ``verify`` lines of
 an invariant suite run against a sabotaged exact solver, and the order hash
-and weight of ``two_opt(grid_tour(...))`` on uniform points, frozen so that
+and weight of ``two_opt`` from ``grid_tour`` starts on uniform points and
+from shuffled starts on a lattice, frozen so that
 any refactor of the experiment pipeline, the report codec, the bracket
 formulas, the invariant suite or the local search has to reproduce them
 byte for byte.
@@ -21,6 +22,7 @@ import os
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from powertsp import invariants
@@ -86,18 +88,32 @@ def _sabotaged_verify() -> str:
 
 
 def _polished_tours() -> str:
-    """One CSV row per (kind, alpha, n): the sha256 of the polished order,
-    written as comma-separated node indices, and the repr of its weight."""
+    """One CSV row per (kind, alpha, n, start): the sha256 of the polished
+    order, written as comma-separated node indices, and the repr of its
+    weight.  The starts are ``grid_tour`` at A = 1 and A = 3 on uniform
+    points, and three shuffled orders of a 12 x 12 lattice whose dyadic
+    coordinates make many h values tie exactly."""
     uniform = build_density("uniform", 1.0, 1.0)
-    rows = ["kind,alpha,n,order_sha256,weight\n"]
+    side = (np.arange(12) - 5.5) / 16
+    lattice = np.stack(np.meshgrid(side, side), axis=-1).reshape(-1, 2)
+    rows = ["kind,alpha,n,start,order_sha256,weight\n"]
+
+    def row(kind, wf, alpha, pts, start, label):
+        tour = two_opt(pts, start, wf, alpha)
+        digest = hashlib.sha256(",".join(map(str, tour.order)).encode()).hexdigest()
+        rows.append(f"{kind},{alpha!r},{len(pts)},{label},{digest},{tour.weight!r}\n")
+
     for kind in BUILTIN_KINDS:
         wf = make_weight_function(kind)
-        for alpha in (0.5, 1.0, 1.5, 2.0):
-            for n in (100, 1000):
-                pts = sample_binomial(uniform, n, 19, stream=(n,)).points
-                tour = two_opt(pts, grid_tour(pts, wf, alpha, build_tiling(n, 1.0)), wf, alpha)
-                digest = hashlib.sha256(",".join(map(str, tour.order)).encode()).hexdigest()
-                rows.append(f"{kind},{alpha!r},{n},{digest},{tour.weight!r}\n")
+        for a in (1, 3):
+            for alpha in (0.5, 1.0, 1.5, 2.0):
+                for n in (100, 1000):
+                    pts = sample_binomial(uniform, n, 19, stream=(n,)).points
+                    row(kind, wf, alpha, pts, grid_tour(pts, wf, alpha, build_tiling(n, a)),
+                        f"grid_a{a}")
+        for s in range(3):
+            order = np.random.default_rng(s).permutation(len(lattice))
+            row(kind, wf, 1.0, lattice, Tour(tuple(order.tolist()), 0.0), f"lattice_{s}")
     return "".join(rows)
 
 
