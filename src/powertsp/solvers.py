@@ -29,6 +29,7 @@ path, and the dense/sparse label-gap statistics.
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -55,6 +56,10 @@ WALK_MAX_NODES = 32
 # a wave's fixed cost is about that many nodes' scoring, and a wave over
 # every node that finds nothing ends the search.
 FULL_WAVE_SLACK = 32
+# two_opt certifies which nodes a full wave may skip from this many nodes
+# up: below it nearly every node is stale in a full wave (84% of them at 64
+# nodes), and the bookkeeping costs more than the scorings it saves
+CERTIFY_MIN_NODES = 96
 DENSE_CELL_MIN_NODES = 3  # a cell with fewer nodes is sparse
 
 
@@ -412,20 +417,36 @@ _PENALTY = np.where(
     ((_BAD_C[:, :1] <= _OFF) & (_OFF <= _BAD_C[:, 1:]))[:, None, :, None]
     | ((_BAD_E[..., :1] <= _OFF) & (_OFF <= _BAD_E[..., 1:]))[:, :, None, :],
     -np.inf, 0.0)
-_ROW_SIDE = np.arange(0, _PENALTY.size, _OFF.size ** 2).reshape(7, 2, 1, 1)
+# The (row, side) pairs that can be moves, in flat (row, side) order: rows
+# 0-4 on both sides of c, then row 5 with e = succ c and row 6 with e = pred c
+# (the other side of a 2-opt row is always -inf).  A 2-opt row's z, and so
+# its h(z, e), is that of the Or-opt row _TWO_OPT_Z on the same side.
+_PAIR_ROW = np.array([0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 6])
+_PAIR_SIDE = np.array([0, 1] * 6)
+_TWO_OPT_Z = np.array([1, 3])
+# _PAIR_PENALTY[pair, code]: the penalty by the code of (c's offset, succ
+# c's offset, pred c's offset), each clipped to [-3, 3] and shifted to 0-6
+_PAIR_PENALTY = _PENALTY[_PAIR_ROW, _PAIR_SIDE]
+_PAIR_PENALTY = np.where((_PAIR_SIDE == 0)[:, None, None, None], _PAIR_PENALTY[..., None],
+                         _PAIR_PENALTY[:, :, None, :]).reshape(_PAIR_ROW.size, -1)
 _SIDE_STEP = np.array([1, -1]).reshape(2, 1, 1)  # e = succ c, then pred c
 
 
-def _reverse_path(t: np.ndarray, pos: np.ndarray, i: int, j: int) -> None:
+def _reverse_path(t: np.ndarray, pos: np.ndarray, i: int, j: int,
+                  par: np.ndarray | None = None) -> None:
     """Reverse the tour positions i..j (cyclic, forward), or the complementary
-    path when that is shorter: both leave the same cycle."""
+    path when that is shorter: both leave the same cycle.  ``par``, when
+    given, flips at every node whose positions were reversed."""
     n = t.size
     length = (j - i) % n + 1
     if 2 * length > n:
         i, length = j + 1, n - length
     idx = (i + np.arange(length)) % n
-    t[idx] = t[idx[::-1]]
-    pos[t[idx]] = idx
+    moved = t[idx[::-1]]
+    t[idx] = moved
+    pos[moved] = idx
+    if par is not None:
+        par[moved] ^= True
 
 
 def _move_segment(t: np.ndarray, pos: np.ndarray, path: list[int], c: int, e: int) -> None:
@@ -449,6 +470,68 @@ def _move_segment(t: np.ndarray, pos: np.ndarray, path: list[int], c: int, e: in
     pos[new] = idx
 
 
+def _stale(t: np.ndarray, nb: np.ndarray, kept: list[int], scored: np.ndarray,
+           changed: np.ndarray, par: np.ndarray, rel: np.ndarray) -> np.ndarray:
+    """The nodes a full wave of ``_local_search`` must score, ascending: those
+    with a node changed since they were last scored within ``_REACH`` tour
+    positions or among their candidates, those whose reversal parity
+    relative to a candidate differs from the one they were scored with, and
+    the ``kept`` nodes, whose proposals were skipped."""
+    n = t.size
+    # the stamps by tour position from -3 to n + 2, and their maximum over
+    # windows of 2, 4 and then 7 positions
+    near = changed.take(t.take(np.arange(-_REACH, n + _REACH), mode="wrap"))
+    for d in (1, 2, 3):
+        near = np.maximum(near[:-d], near[d:])
+    stale = np.empty(n, dtype=bool)
+    stale[t] = near >= scored[t]
+    stale |= changed[nb].max(axis=1) >= scored
+    stale |= (par[nb] ^ par[:, None] ^ rel).any(axis=1)
+    stale[kept] = True
+    return np.flatnonzero(stale)
+
+
+def _propose(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarray, pos: np.ndarray,
+             w: np.ndarray, nb_t: np.ndarray, w_ac: np.ndarray, penalty: np.ndarray,
+             columns: np.ndarray, tol: float, a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Score every move of the nodes ``a`` as whole arrays (see
+    ``_local_search``) and return, for those whose best move gains more
+    than tol, in the order of ``a``: the gain, the node, the move's row, its
+    c and e, and the nodes at tour offsets -3..3 from the node."""
+    # arrays run (pair, candidate, node): the node axis last and contiguous,
+    # so that every broadcast has long inner loops
+    n = t.size
+    pa = pos[a]
+    around = (pa + _OFF[:, None]) % n  # the positions at offsets -3..3
+    near = t.take(around)
+    xy = pts.take(near, axis=0)
+    w_at = w.take(around)
+    drop = np.concatenate((
+        (w_at[_OUT[:, 0]] + w_at[_OUT[:, 1]])
+        - wf.h_pairs(xy[_BRIDGE[:, 0]], xy[_BRIDGE[:, 1]]) ** alpha,
+        w_at[_EDGE]))
+    c = nb_t.take(a, axis=1)
+    pc = pos.take(c)
+    pe = pc + _SIDE_STEP  # e's position; the edge (c, e) starts at the earlier one
+    e = t.take(pe % n)
+    w_ce = w.take(np.minimum(pc, pe))
+    base = w_ce - w_ac.take(a, axis=1)
+    h_ze = wf.h_pairs(xy[_Z_ROW[:5]][:, None, None], pts.take(e, axis=0)) ** alpha
+    gain = np.empty((_PAIR_ROW.size,) + c.shape)
+    np.add(drop[:5, None, None], base, out=gain[:10].reshape(h_ze.shape))
+    np.add(drop[5:, None], base, out=gain[10:])
+    gain[:10] -= h_ze.reshape(gain[:10].shape)
+    gain[10:] -= h_ze[_TWO_OPT_Z, [0, 1]]
+    gain += penalty.take(columns.take(pc + (n - 1 - pa)), axis=1)
+    flat = gain.reshape(-1, a.size)
+    best = flat.argmax(axis=0)
+    gbest = flat[best, np.arange(a.size)]
+    hit = np.flatnonzero(gbest > tol)
+    pair, k = np.divmod(best[hit], c.shape[0])
+    return (gbest[hit], a[hit], _PAIR_ROW[pair], c[k, hit], e[_PAIR_SIDE[pair], k, hit],
+            near[:, hit].T)
+
+
 def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarray) -> None:
     """2-opt and Or-opt moves on the cycle ``t`` (n >= 4, in place) over each
     node's candidate list, until no such move gains more than
@@ -463,70 +546,85 @@ def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarr
     tour edge (c, e), e either tour neighbour of c, with a joined to c.  A
     move's gain is the weight it drops, read off w, minus the weight it
     adds: the edge (a, c), read off the candidate lists, and the edge from
-    e and an Or-opt move's bridge, each scored by one kernel call per chunk.
-    Each node proposes its best move, with the c and e it was scored with,
-    and the proposals are applied best gain first.  A proposal is skipped when an earlier move of the wave touched
-    one of its nodes (its edges may be gone), or when the two edges of a
-    2-opt move no longer point the same way (a reversal between them
-    flipped one).  Nodes that a move touched, or whose proposal was
-    skipped, stay active; the others are not scored again until a move
-    touches them (don't-look bits), unless at most ``FULL_WAVE_SLACK`` nodes
-    would sit out.  A wave that finds nothing is followed by one over every
-    node, and the search ends when a wave over every node finds nothing.
-    Every applied move gains more than tol, so the search ends.
+    e and an Or-opt move's bridge, each scored by one kernel call per chunk
+    (h(z, e) once per z offset and side of c).  Each node proposes its best
+    move, with the c and e it was scored with, and the proposals are
+    applied best gain first.  A proposal is skipped when an earlier move of
+    the wave touched one of its nodes (its edges may be gone), or when the
+    two edges of a 2-opt move no longer point the same way (a reversal
+    between them flipped one).  Nodes that a move touched, or whose
+    proposal was skipped, stay active; the others are not scored again
+    until a move touches them (don't-look bits), unless at most
+    ``FULL_WAVE_SLACK`` nodes would sit out.  A wave that finds nothing is
+    followed by a full wave, and the search ends when a full wave finds
+    nothing.  Every applied move gains more than tol, so the search ends.
+
+    A full wave stands for a scoring of every node, but from the second one
+    on it scores only the nodes ``_stale`` returns: every other node would
+    find no move, as it did when it was last scored, so the moves, their
+    order and the tour are those of a scoring of every node.  A node's gains
+    are a function of the nodes at tour offsets -3..3 from it (their order
+    and the weights of the edges between them) and, per candidate c, of c's
+    tour neighbours, which of them lies on the side of c that a's successor
+    lies on of a, and whether c and its neighbours sit within offset 3 of a.
+    A move changes edges only at the nodes it touches, which ``changed``
+    stamps with the wave; a node's scoring stamps ``scored``.  If no node
+    within offset 3 of a has been touched since a was scored, a's offsets
+    -3..3 hold the same path, forward or reversed: a touched node on it
+    stays within offset 3 of a, since the edges from a up to the nearest
+    touched node remain.  Reversed, every row and side of c trades places
+    with its mirror, whose gain is the same float sum (h is symmetric bit
+    for bit).  If no candidate of a was touched, each keeps its tour
+    neighbours.  The sides they lie on flip only when a reversal moves one
+    of a and c and not the other: every reversal flips the parity ``par``
+    of the nodes whose positions it reverses, and ``rel`` keeps par[a] ^
+    par[c] from a's scoring.  (A segment move lays its nodes down in either
+    direction, but they are touched.)  A touched node and a node whose
+    proposal was skipped are stale.  Stamps compare with >=, since a node
+    scored in a wave is stale when that wave's moves touched its inputs.
+    The certificate is allocated when a second full wave begins, which
+    scores every node, so that a search ending after one wave, as most
+    small ones do, pays nothing for it.
     """
     n = t.size
     nb, hb = _candidate_lists(pts, wf)
     # candidate-major copies, so that a chunk's gathers come out contiguous
     nb_t, w_ac = nb.T.copy(), (hb ** alpha).T.copy()
     # a segment needs two distinct outside neighbours
-    penalty = np.where((_SEG_LEN > n - 2)[:, None, None, None], -np.inf, _PENALTY).ravel()
+    penalty = np.where((_SEG_LEN[_PAIR_ROW] > n - 2)[:, None], -np.inf, _PAIR_PENALTY)
     # c's tour offset from a, as pos[c] - pa + n - 1, to the penalty-table
-    # columns of (c's offset, e's offset) for e = succ c, then e = pred c:
-    # off[x] is the offset x - n, signed mod n and clipped to [-3, 3]
+    # column of (c's offset, succ c's offset, pred c's offset): off[x] is the
+    # offset x - n, signed mod n and clipped to [-3, 3]
     off = (np.arange(2 * n + 1) + n // 2) % n - n // 2
     off = np.minimum(np.maximum(off, -_REACH), _REACH) + _REACH
-    columns = off[1:-1] * _OFF.size + np.stack((off[2:], off[:-2]))
+    columns = (off[1:-1] * _OFF.size + off[2:]) * _OFF.size + off[:-2]
     pos = np.empty(n, dtype=np.intp)
     pos[t] = np.arange(n)
-    w = wf.h_pairs(pts[t], pts[np.concatenate((t[1:], t[:1]))]) ** alpha
+    w = wf.h_pairs(pts.take(t, axis=0), pts.take(np.concatenate((t[1:], t[:1])), axis=0)) ** alpha
     tol = 1e-12 * (1.0 + w.sum())  # the edges summed as tour_weight sums them
-    active = np.arange(n)
-    every = True
-    while True:
+    active, every, kept = np.arange(n), True, []
+    scored = changed = par = rel = None  # the certificate, from the second full wave
+    for wave in itertools.count():
+        if every and wave and n >= CERTIFY_MIN_NODES:
+            if scored is None:
+                scored, changed = np.empty(n, dtype=np.intp), np.full(n, -1)
+                par, rel = np.zeros(n, dtype=bool), np.zeros(nb.shape, dtype=bool)
+            else:
+                active = _stale(t, nb, kept, scored, changed, par, rel)
+                if not active.size:
+                    return  # a full wave that would find nothing
         found = []
-        # arrays run (row, side of c, candidate, node): the node axis last
-        # and contiguous, so that every broadcast has long inner loops
         for s in range(0, active.size, EVAL_NODES):
             a = active[s:s + EVAL_NODES]
-            pa = pos[a]
-            around = (pa + _OFF[:, None]) % n  # the positions at offsets -3..3
-            near = t.take(around)
-            xy = pts[near]
-            w_at = w.take(around)
-            drop = np.concatenate((
-                (w_at[_OUT[:, 0]] + w_at[_OUT[:, 1]])
-                - wf.h_pairs(xy[_BRIDGE[:, 0]], xy[_BRIDGE[:, 1]]) ** alpha,
-                w_at[_EDGE]))
-            c = nb_t.take(a, axis=1)
-            pc = pos.take(c)
-            pe = pc + _SIDE_STEP  # e's position; the edge (c, e) starts at the earlier one
-            e = t.take(pe % n)
-            w_ce = w.take(np.minimum(pc, pe))
-            gain = (drop[:, None, None] + (w_ce - w_ac.take(a, axis=1))) \
-                - wf.h_pairs(xy[_Z_ROW][:, None, None], pts[e]) ** alpha
-            gain += penalty.take(_ROW_SIDE + columns.take(pc + (n - 1 - pa), axis=1))
-            flat = gain.reshape(-1, a.size)
-            best = flat.argmax(axis=0)
-            gbest = flat[best, np.arange(a.size)]
-            hit = np.flatnonzero(gbest > tol)
-            j, side, k = np.unravel_index(best[hit], gain.shape[:3])
-            found.append((gbest[hit], a[hit], j, c[k, hit], e[side, k, hit], near[:, hit].T))
+            found.append(_propose(pts, wf, alpha, t, pos, w, nb_t, w_ac, penalty, columns, tol, a))
+        if scored is not None:
+            scored[active] = wave
+            rel[active] = par[nb[active]] ^ par[active, None]
         gains = np.concatenate([f[0] for f in found])
         if not gains.size:
             if every:
                 return
-            active, every = np.arange(n), True
+            active, every, kept = np.arange(n), True, []
             continue
         a_hit, j_hit, c_hit, e_hit, near_hit = (np.concatenate([f[i] for f in found]).tolist()
                                                 for i in range(1, 6))
@@ -546,14 +644,16 @@ def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarr
             if j < 5:
                 _move_segment(t, pos, path, c, e)
             elif t[(pos[a] + 1) % n] == b and t[(pos[c] + 1) % n] == e:
-                _reverse_path(t, pos, int(pos[b]), int(pos[c]))
+                _reverse_path(t, pos, int(pos[b]), int(pos[c]), par)
             elif t[pos[a] - 1] == b and t[pos[c] - 1] == e:
-                _reverse_path(t, pos, int(pos[a]), int(pos[e]))
+                _reverse_path(t, pos, int(pos[a]), int(pos[e]), par)
             else:
                 kept.append(a)
                 continue
             touched.update(nodes)
-        w = wf.h_pairs(pts[t], pts[np.concatenate((t[1:], t[:1]))]) ** alpha
+        if changed is not None:
+            changed[list(touched)] = wave
+        w = wf.h_pairs(pts.take(t, axis=0), pts.take(np.concatenate((t[1:], t[:1])), axis=0)) ** alpha
         active = np.array(sorted(touched.union(kept)))
         if active.size + FULL_WAVE_SLACK >= n:
             active = np.arange(n)

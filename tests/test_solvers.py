@@ -743,6 +743,78 @@ def test_two_opt_no_heavier_than_dense_reference():
     assert np.mean(ours) <= np.mean(dense)
 
 
+# (kind, alpha, density, n, seed, stream, A of the grid_tour start): each
+# found a node that a certificate weakened in one way (kept proposals left
+# out, stamps compared with >, no parity, no window or no candidate check)
+# wrongly leaves out of a full wave
+AUDITED = [
+    ("radial_metric", 0.3, "uniform", 20, 2, (20, 7), 1),
+    ("euclidean", 0.3, "uniform", 50, 2, (50, 0), 1),
+    ("euclidean", 0.3, "uniform", 40, 109, (40, 0), 3),
+    ("coordinate_metric", 1.0, "uniform", 20, 114, (20, 1), 1),
+    ("radial_metric", 1.5, "uniform", 50, 1, (50, 2), 1),
+    ("radial_metric", 2.0, "checkerboard", 100, 1, (100, 2), 1),
+    ("euclidean", 1.5, "checkerboard", 16, 2, (16, 0), 1),
+    ("coordinate_metric", 0.3, "uniform", 20, 1, (20, 1), 1),
+    ("coordinate_metric", 1.0, "checkerboard", 200, 2, (200, 1), 3),
+    ("coordinate_metric", 0.5, "checkerboard", 1000, 2, (1000, 1), 3),
+    ("euclidean", 2.0, "uniform", 1000, 1, (1000, 0), 1),
+    ("radial_metric", 0.3, "uniform", 1000, 2, (1000, 2), 1),
+    ("radial_metric", 1.0, "checkerboard", 512, 1, (512, 0), 1),
+]
+
+
+def _audit_full_waves(monkeypatch):
+    """Make every certified full wave of two_opt score every node, and fail
+    when a node the certificate left out proposes a move.  Returns the
+    counts of certified waves and of the nodes they left out."""
+    real_stale, real_propose = solvers._stale, solvers._propose
+    audit = {"clean": set(), "left": 0, "waves": 0, "skipped": 0}
+
+    def stale(t, *args):
+        scored = real_stale(t, *args)
+        audit["clean"] = set(range(t.size)) - set(scored.tolist())
+        audit["left"] = t.size  # the nodes the wave will score
+        audit["waves"] += 1
+        audit["skipped"] += len(audit["clean"])
+        return np.arange(t.size)
+
+    def propose(*args):
+        out = real_propose(*args)
+        if audit["left"] > 0:
+            audit["left"] -= args[-1].size
+            assert audit["clean"].isdisjoint(out[1].tolist())
+        return out
+
+    monkeypatch.setattr(solvers, "_stale", stale)
+    monkeypatch.setattr(solvers, "_propose", propose)
+    return audit
+
+
+@pytest.mark.parametrize("kind, alpha, density, n, seed, stream, a", AUDITED)
+def test_two_opt_full_waves_skip_only_nodes_without_moves(kind, alpha, density, n, seed, stream,
+                                                          a, monkeypatch):
+    monkeypatch.setattr(solvers, "CERTIFY_MIN_NODES", 0)  # certify the small runs too
+    wf = make_weight_function(kind)
+    d = build_density(density, 0.5, 1.5, k=4) if density == "checkerboard" \
+        else build_density(density, 1.0, 1.0)
+    pts = sample_binomial(d, n, seed, stream=stream).points
+    start = grid_tour(pts, wf, alpha, build_tiling(n, a))
+    certified = two_opt(pts, start, wf, alpha)
+    audit = _audit_full_waves(monkeypatch)
+    # scoring every node takes the same moves in the same order
+    assert two_opt(pts, start, wf, alpha) == certified
+    assert audit["waves"] > 0
+
+
+def test_two_opt_full_waves_skip_most_nodes_at_scale(monkeypatch):
+    n = 1000
+    pts = random_points(n, seed=1001)
+    audit = _audit_full_waves(monkeypatch)
+    two_opt(pts, grid_tour(pts, EU, 1.0, build_tiling(n, 1.0)), EU, 1.0)
+    assert audit["skipped"] > audit["waves"] * n // 2
+
+
 def test_two_opt_memory_is_linear():
     # the old dense matrix alone took 8 n^2 bytes, 128 MiB at n = 4096
     n = 4096
