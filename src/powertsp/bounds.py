@@ -32,6 +32,11 @@ _EXP_OVERFLOW_ABOVE = 709.0
 # np.exp rounds every argument below this to exactly 0.0 (the smallest
 # subnormal is e^-744.4, and exp underflows to 0 below about -745.13)
 _EXP_ZERO_BELOW = -746.0
+# np.exp of an argument below this, times p <= 1, lies below 2^-1022 (the
+# smallest normal float, e^-708.40): the band down to _EXP_ZERO_BELOW is
+# subnormal, where np.exp is slow
+_EXP_SUBNORMAL_BELOW = -709.0
+_SMALLEST_NORMAL = 2.0 ** -1022
 _EXPANSION_MAX_TERMS = 64
 _TWO_PI = 2.0 * math.pi
 # B_2j / (2j)! for j = 1..7, the Euler-Maclaurin corrections of _zeta_1p
@@ -140,23 +145,51 @@ def geometric_moment(p: float, alpha: float, tol: float = 1e-9) -> float:
     # of 128, so the first `lanes` = 128 * 2^j >= m of them form one subtree,
     # every other subtree holds only zeros and sums to +0.0, and adding +0.0
     # changes no bit.  Only those lanes are allocated and summed.
-    reach = alpha * _LOG_CHUNK - _EXP_ZERO_BELOW
-    m = _SERIES_CHUNK if reach >= -log_q * (_SERIES_CHUNK - 1) else int(reach / -log_q) + 1
+    m = _terms_above(_EXP_ZERO_BELOW, alpha, log_q)
     lanes = max(_PAIRWISE_BLOCK, 1 << (m - 1).bit_length())
+    # By the same bound every term past the first m_normal lies in
+    # [0, 2^-1022].  IEEE addition is monotone in each argument, so the sum
+    # lies between the sums with those terms at 0 and at 2^-1022, and when
+    # these two agree it equals both bit for bit; only where they differ are
+    # the subnormal terms evaluated.
+    m_normal = min(m, _terms_above(_EXP_SUBNORMAL_BELOW, alpha, log_q))
     terms = np.zeros(lanes)
-    exponents = _SERIES_KS_M1[:m] * log_q
-    exponents += _alpha_log_ks(alpha)[:m]  # IEEE addition commutes: same bits
     # np.errstate costs a few microseconds, so it is entered only where a
     # term or the sum can overflow; that is reported just below
     may_overflow = (alpha + 1.0) * _LOG_CHUNK >= _EXP_OVERFLOW_ABOVE
     with np.errstate(over="ignore") if may_overflow else contextlib.nullcontext():
-        np.exp(exponents, out=terms[:m])
-        terms *= p
+        _series_terms(terms, 0, m_normal, p, alpha, log_q)
         total = float(np.add.reduce(terms))
+        if m_normal < m:
+            terms[m_normal:m] = _SMALLEST_NORMAL
+            if float(np.add.reduce(terms)) != total:
+                _series_terms(terms, m_normal, m, p, alpha, log_q)
+                total = float(np.add.reduce(terms))
     if not math.isfinite(total):
         raise SeriesConvergenceError(
             f"geometric moment (p={p}, alpha={alpha}) is out of float range")
     return total
+
+
+def _terms_above(cutoff: float, alpha: float, log_q: float) -> int:
+    """How many leading terms of the series chunk can have an exponent
+    alpha log k + (k-1) log q at or above ``cutoff``: past them even the
+    bound alpha log K + (k-1) log q lies below it (all K where the bound
+    reaches the chunk's end, or log q rounds to 0)."""
+    reach = alpha * _LOG_CHUNK - cutoff
+    if reach >= -log_q * (_SERIES_CHUNK - 1):
+        return _SERIES_CHUNK
+    return int(reach / -log_q) + 1
+
+
+def _series_terms(terms: np.ndarray, i: int, j: int, p: float, alpha: float,
+                  log_q: float) -> None:
+    """terms[i:j] = p q^(k-1) k^alpha for k = i + 1..j, by np.exp of the
+    exponent (k-1) log q + alpha log k."""
+    exponents = _SERIES_KS_M1[i:j] * log_q
+    exponents += _alpha_log_ks(alpha)[i:j]  # IEEE addition commutes: same bits
+    np.exp(exponents, out=terms[i:j])
+    terms[i:j] *= p
 
 
 @functools.lru_cache(maxsize=8)

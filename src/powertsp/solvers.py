@@ -140,8 +140,8 @@ def tour_weight(points, order, wf: WeightFunction, alpha: float) -> float:
     n = pts.shape[0]
     if n < 2:
         raise ValueError("a tour needs at least 2 nodes")
-    po = pts[_validate_permutation(order, n)]
-    return float(np.sum(edge_weight_pairs(wf, alpha, po, np.roll(po, -1, axis=0))))
+    po = pts.take(_validate_permutation(order, n), axis=0)
+    return float(np.sum(edge_weight_pairs(wf, alpha, po, np.concatenate((po[1:], po[:1])))))
 
 
 def _cycle_weight(mat: np.ndarray, order: tuple[int, ...]) -> float:
@@ -363,12 +363,13 @@ def _candidate_lists(pts: np.ndarray, wf: WeightFunction) -> tuple[np.ndarray, n
             nodes = todo[a:b]
             keep = cand != nodes[owner]
             owner, cand = owner[keep], cand[keep]
-            h = wf.h_pairs(pts[nodes[owner]], pts[cand])
+            h = wf.h_pairs(pts.take(nodes[owner], axis=0), pts.take(cand, axis=0))
             count = np.bincount(owner, minlength=b - a)
             full = count >= kk
             if full.any():
                 # keep each node's pairs up to its K-th smallest h (ties
-                # included), then order those by (h, index)
+                # included), then order those by (h, index), one table row
+                # per node, padded by (inf, n), which sorts after every pair
                 table = np.empty((b - a, max(kk, count.max())))
                 table.fill(np.inf)
                 table[owner, np.arange(owner.size) - (count.cumsum() - count)[owner]] = h
@@ -376,11 +377,16 @@ def _candidate_lists(pts: np.ndarray, wf: WeightFunction) -> tuple[np.ndarray, n
                 keep = h <= table[owner, kk - 1]
                 owner, cand, h = owner[keep], cand[keep], h[keep]
                 count = np.bincount(owner, minlength=b - a)
-                pick = np.lexsort((cand, h, owner))[
-                    (count.cumsum() - count)[full, None] + np.arange(kk)]
-                nb[nodes[full]] = cand[pick]
-                hb[nodes[full]] = h[pick]
-                done[a:b][full] = h[pick[:, -1]] < reach[a:b][full]
+                col = np.arange(owner.size) - (count.cumsum() - count)[owner]
+                h_row = np.full((b - a, count.max()), np.inf)
+                h_row[owner, col] = h
+                c_row = np.full(h_row.shape, n)
+                c_row[owner, col] = cand
+                h_row, c_row = h_row[full], c_row[full]
+                pick = np.lexsort((c_row, h_row), axis=-1)[:, :kk]
+                nb[nodes[full]] = np.take_along_axis(c_row, pick, axis=1)
+                hb[nodes[full]] = h_k = np.take_along_axis(h_row, pick, axis=1)
+                done[a:b][full] = h_k[:, -1] < reach[a:b][full]
             a = b
         todo = todo[~done]
         radius *= 2
@@ -691,8 +697,8 @@ def _score_table(pts: np.ndarray, wf: WeightFunction, alpha: float, by_cell: np.
     for a in range(0, tails.size, block):
         run = lens[a:a + block]
         col = _ranges(np.zeros_like(run), run)
-        u = pts[tails[a:a + block].repeat(run)]
-        v = pts[by_cell[lo[a:a + block].repeat(run) + col]]
+        u = pts.take(tails[a:a + block].repeat(run), axis=0)
+        v = pts.take(by_cell[lo[a:a + block].repeat(run) + col], axis=0)
         table[np.arange(a, a + run.size).repeat(run), col] = wf.h_pairs(u, v) ** alpha
     return table
 
@@ -707,7 +713,7 @@ def _nn_within(pts: np.ndarray, wf: WeightFunction, alpha: float,
     while len(remaining) > 1:
         # the tail as one (2,) point: its coordinates are scalars to the
         # per-coordinate kernels, cheaper than a (1,) broadcast per call
-        w = wf.h_pairs(pts[seq[-1]], pts[remaining]) ** alpha
+        w = wf.h_pairs(pts[seq[-1]], pts.take(remaining, axis=0)) ** alpha
         seq.append(remaining.pop(int(w.argmin())))
     return seq + remaining
 

@@ -247,6 +247,34 @@ def test_geometric_moment_series_is_bit_identical_to_the_full_sum():
         geometric_moment(0.7, 400.0)
 
 
+def test_subnormal_series_terms_lie_below_the_smallest_normal():
+    # geometric_moment bounds every series term p e^x, x below
+    # _EXP_SUBNORMAL_BELOW, by 2^-1022
+    x = np.linspace(bounds._EXP_ZERO_BELOW, bounds._EXP_SUBNORMAL_BELOW, 10001)
+    assert np.all(np.exp(x) < bounds._SMALLEST_NORMAL)
+    assert bounds._SMALLEST_NORMAL == np.finfo(np.float64).smallest_normal
+
+
+def test_geometric_moment_evaluates_the_subnormal_terms_where_the_bounds_differ(monkeypatch):
+    # a bound of 1.0 moves every sum that has subnormal terms, so each such
+    # call evaluates them, and still returns the full sum bit for bit
+    monkeypatch.setattr(bounds, "_SMALLEST_NORMAL", 1.0)
+    real, bands = bounds._series_terms, []
+
+    def series_terms(terms, i, j, *args):
+        if i:
+            bands.append(j - i)
+        real(terms, i, j, *args)
+
+    monkeypatch.setattr(bounds, "_series_terms", series_terms)
+
+    def ps(alpha):
+        return 1.0 - np.geomspace(0.02, 0.5, 60)
+
+    finite, failing = assert_series_matches_full_sum(np.linspace(0.25, 3.5, 14), ps)
+    assert finite > 500 and failing == 0 and len(bands) > 500
+
+
 def test_geometric_moment_series_across_the_overflow_guard():
     # np.exp runs without np.errstate while (alpha + 1) log K < 709, which
     # no longer holds from alpha = 84.24 on; at 80-90 every certified value
