@@ -21,10 +21,13 @@ the chain tail.  Local search:
 ``two_opt`` polishes a tour with 2-opt and Or-opt moves (segments of 1-3
 nodes) over each node's K = 10 nearest nodes under h, found by an exact
 ring search over a grid, in O(n·K) memory: only the exact solvers build
-the dense n x n matrix.  Plus exact minimum-weight spanning paths up to 16
-nodes (each solved by the dynamic program as a cycle through an extra node
-that costs 0 to reach from every node), the in/cross/out decomposition
-path, and the dense/sparse label-gap statistics.
+the dense n x n matrix.  A full wave of the search, from the third on,
+scores only the nodes whose moves can have changed since they were last
+scored, so its tours are those of a search that scores every node.  Plus
+exact minimum-weight spanning paths up to 16 nodes (each solved by the
+dynamic program as a cycle through an extra node that costs 0 to reach
+from every node), the in/cross/out decomposition path, and the
+dense/sparse label-gap statistics.
 """
 
 from __future__ import annotations
@@ -565,32 +568,37 @@ def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarr
     followed by a full wave, and the search ends when a full wave finds
     nothing.  Every applied move gains more than tol, so the search ends.
 
-    A full wave stands for a scoring of every node, but from the second one
-    on it scores only the nodes ``_stale`` returns: every other node would
-    find no move, as it did when it was last scored, so the moves, their
-    order and the tour are those of a scoring of every node.  A node's gains
-    are a function of the nodes at tour offsets -3..3 from it (their order
-    and the weights of the edges between them) and, per candidate c, of c's
-    tour neighbours, which of them lies on the side of c that a's successor
-    lies on of a, and whether c and its neighbours sit within offset 3 of a.
-    A move changes edges only at the nodes it touches, which ``changed``
-    stamps with the wave; a node's scoring stamps ``scored``.  If no node
-    within offset 3 of a has been touched since a was scored, a's offsets
-    -3..3 hold the same path, forward or reversed: a touched node on it
-    stays within offset 3 of a, since the edges from a up to the nearest
-    touched node remain.  Reversed, every row and side of c trades places
-    with its mirror, whose gain is the same float sum (h is symmetric bit
-    for bit).  If no candidate of a was touched, each keeps its tour
-    neighbours.  The sides they lie on flip only when a reversal moves one
-    of a and c and not the other: every reversal flips the parity ``par``
-    of the nodes whose positions it reverses, and ``rel`` keeps par[a] ^
-    par[c] from a's scoring.  (A segment move lays its nodes down in either
-    direction, but they are touched.)  A touched node and a node whose
-    proposal was skipped are stale.  Stamps compare with >=, since a node
-    scored in a wave is stale when that wave's moves touched its inputs.
-    The certificate is allocated when a second full wave begins, which
-    scores every node, so that a search ending after one wave, as most
-    small ones do, pays nothing for it.
+    Full waves past the second score only the nodes ``_stale`` returns,
+    once n >= ``CERTIFY_MIN_NODES``.  Every other node was last scored with
+    the same inputs, up to a mirror image, and found no move then, so it
+    finds none now: the moves, their order and every tour are those of
+    waves over every node, and the search still ends only on a full wave
+    that finds nothing.  A node a's gains read the nodes at tour offsets
+    -3..3 from a, in order, with the weights of the edges between them, and
+    for each candidate c its two tour neighbours, which of them lies on the
+    side of c that a's successor lies on of a, and where c and they sit
+    when within offset 3 of a.
+
+    - A move changes edges only at the nodes it touches.  ``changed``
+      stamps those with the wave, and ``scored`` stamps each scoring.
+    - If no node within offset 3 of a was touched since a was scored, a's
+      offsets -3..3 hold the same path, forward or reversed: a touched node
+      would have stayed within offset 3, since the edges from a up to the
+      nearest touched node remain.  Reversed, each (row, side) pair trades
+      places with its mirror image, whose gain is the same float sum, since
+      h is symmetric bit for bit and addition commutes.
+    - If no candidate of a was touched, each keeps its tour neighbours.
+      The side of c they lie on, relative to a, changes only when a
+      reversal moves one of a and c and not the other.  Each reversal flips
+      the parity ``par`` of the nodes whose positions it reverses, and
+      ``rel`` keeps par[a] ^ par[c] from a's scoring.  A segment move may
+      lay its nodes down reversed, but it touches them.
+    - A node whose proposal was skipped still has that move.
+
+    Stamps compare with >=: a node scored in a wave is stale when that
+    wave's moves touched its inputs.  The certificate is allocated when a
+    second full wave begins, and that wave scores every node, so a search
+    that ends on its first full wave pays nothing for it.
     """
     n = t.size
     nb, hb = _candidate_lists(pts, wf)
