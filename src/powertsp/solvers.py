@@ -435,17 +435,16 @@ _PAIR_SIDE = np.array([0, 1] * 6)
 _TWO_OPT_Z = np.array([1, 3])
 # _PAIR_PENALTY[pair, code]: the penalty by the code of (c's offset, succ
 # c's offset, pred c's offset), each clipped to [-3, 3] and shifted to 0-6
-_PAIR_PENALTY = _PENALTY[_PAIR_ROW, _PAIR_SIDE]
-_PAIR_PENALTY = np.where((_PAIR_SIDE == 0)[:, None, None, None], _PAIR_PENALTY[..., None],
-                         _PAIR_PENALTY[:, :, None, :]).reshape(_PAIR_ROW.size, -1)
+_PAIR_PENALTY = np.where((_PAIR_SIDE == 0)[:, None, None, None],
+                         _PENALTY[_PAIR_ROW, _PAIR_SIDE][:, :, :, None],
+                         _PENALTY[_PAIR_ROW, _PAIR_SIDE][:, :, None, :]).reshape(_PAIR_ROW.size, -1)
 _SIDE_STEP = np.array([1, -1]).reshape(2, 1, 1)  # e = succ c, then pred c
 
 
-def _reverse_path(t: np.ndarray, pos: np.ndarray, i: int, j: int,
-                  par: np.ndarray | None = None) -> None:
+def _reverse_path(t: np.ndarray, pos: np.ndarray, i: int, j: int, par: np.ndarray | None) -> None:
     """Reverse the tour positions i..j (cyclic, forward), or the complementary
-    path when that is shorter: both leave the same cycle.  ``par``, when
-    given, flips at every node whose positions were reversed."""
+    path when that is shorter: both leave the same cycle.  ``par``, unless
+    None, flips at every node whose positions were reversed."""
     n = t.size
     length = (j - i) % n + 1
     if 2 * length > n:
@@ -526,6 +525,7 @@ def _propose(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarray, p
     w_ce = w.take(np.minimum(pc, pe))
     base = w_ce - w_ac.take(a, axis=1)
     h_ze = wf.h_pairs(xy[_Z_ROW[:5]][:, None, None], pts.take(e, axis=0)) ** alpha
+    # pairs 0-9 are the Or-opt rows on both sides of c, 10-11 the 2-opt rows
     gain = np.empty((_PAIR_ROW.size,) + c.shape)
     np.add(drop[:5, None, None], base, out=gain[:10].reshape(h_ze.shape))
     np.add(drop[5:, None], base, out=gain[10:])
