@@ -21,9 +21,10 @@ the chain tail.  Local search:
 ``two_opt`` polishes a tour with 2-opt and Or-opt moves (segments of 1-3
 nodes) over each node's K = 10 nearest nodes under h, found by an exact
 ring search over a grid, in O(n·K) memory: only the exact solvers build
-the dense n x n matrix.  A full wave of the search, from the third on,
-scores only the nodes whose moves can have changed since they were last
-scored, so its tours are those of a search that scores every node.  Plus
+the dense n x n matrix.  From ``CERTIFY_MIN_NODES`` nodes up, a full wave
+of the search past the second scores only the nodes whose moves can have
+changed since they were last scored, so its tours are those of a search
+that scores every node.  Plus
 exact minimum-weight spanning paths up to 16 nodes (each solved by the
 dynamic program as a cycle through an extra node that costs 0 to reach
 from every node), the in/cross/out decomposition path, and the
