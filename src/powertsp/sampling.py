@@ -132,7 +132,13 @@ def _draw_points(d: Density, count: int, rng: np.random.Generator) -> np.ndarray
     """Exactly ``count`` i.i.d. points from d via rejection against the
     density's own maximum, in batches.  Exact duplicates are dropped
     (general position): the first occurrence of each point, in draw order,
-    is kept, and batches are drawn until ``count`` distinct points stand."""
+    is kept, and batches are drawn until ``count`` distinct points stand.
+
+    Two rows can be equal only where their x coordinates are, so while the
+    sorted x of the points accepted so far holds no two equal values every
+    row is kept as drawn; only otherwise does one ``np.unique`` over the
+    rows find the duplicates.  A continuous draw almost never repeats an x,
+    so each batch costs one sort of a column of floats."""
     envelope = 1.0 if d.grid is None else float(d.grid.max())
     out = np.empty((0, 2), dtype=np.float64)
     batch = max(64, int(1.3 * count))
@@ -140,10 +146,13 @@ def _draw_points(d: Density, count: int, rng: np.random.Generator) -> np.ndarray
         cand = rng.uniform(-0.5, 0.5, size=(batch, 2))
         accept = rng.uniform(0.0, 1.0, size=batch) * envelope <= d.value(cand)
         out = np.concatenate([out, cand[accept]])
-        # each row viewed as one complex number: equal rows are equal numbers,
-        # and a 1-D unique sorts several times faster than one over axis 0
-        first = np.unique(out.view(np.complex128)[:, 0], return_index=True)[1]
-        out = out[np.sort(first)]
+        x = np.sort(out[:, 0])
+        if (x[1:] == x[:-1]).any():
+            # each row viewed as one complex number: equal rows are equal
+            # numbers, and a 1-D unique sorts several times faster than one
+            # over axis 0
+            first = np.unique(out.view(np.complex128)[:, 0], return_index=True)[1]
+            out = out[np.sort(first)]
     return out[:count]
 
 

@@ -15,9 +15,10 @@ cell-chained tour that strings nearest-neighbor paths through dense cells
 order and merges the two chains into a spanning cycle.  Cells of at most
 ``WALK_MAX_NODES`` nodes are walked as whole arrays, in a few kernel calls
 per tour: each one's entry from every node of the cell before it, and its
-walk from every entry that can occur, before a loop of table lookups
-follows the chain; a larger cell is walked one kernel call per step from
-the chain tail.  Local search:
+walk from every entry that can occur; pointer doubling over those tables
+then follows each run of such cells in a few whole-array gathers.  A larger
+cell ends a run and is walked one kernel call per step from the chain
+tail.  Local search:
 ``two_opt`` polishes a tour with 2-opt and Or-opt moves (segments of 1-3
 nodes) over each node's K = 10 nearest nodes under h, found by an exact
 ring search over a grid, in O(n·K) memory: only the exact solvers build
@@ -336,7 +337,9 @@ def _candidate_lists(pts: np.ndarray, wf: WeightFunction) -> tuple[np.ndarray, n
     at = (pts * _FLIP_Y + HALF) * k
     cr = np.minimum(at.astype(np.int64), k - 1)
     cell = cr[:, 1] * k + cr[:, 0]
-    by_cell = cell.argsort(kind="stable")
+    # a stable sort of the narrowest type that holds every cell: numpy
+    # radix-sorts 8- and 16-bit keys, and any stable sort gives the same order
+    by_cell = cell.astype(np.min_scalar_type(k * k)).argsort(kind="stable")
     start = np.zeros(k * k + 1, dtype=np.int64)
     np.bincount(cell, minlength=k * k).cumsum(out=start[1:])
     nb = np.empty((n, kk), dtype=np.intp)
@@ -783,9 +786,13 @@ def _chain_path(pts: np.ndarray, wf: WeightFunction, alpha: float, by_cell: np.n
 
     A cell of at most ``WALK_MAX_NODES`` nodes is walked ahead of time: its
     entry from every node of the cell before it is one argmin, and its walk
-    from each entry that can occur one row of ``_walks``.  A Python loop
-    then follows the chains by table lookups, and walks each larger cell
-    with ``_nn_within`` from the real tail, one kernel call per step.
+    from each entry that can occur one row of ``_walks``.  Within a run of
+    such cells, which ends at a chain head or a larger cell, each walk
+    fixes the next one (``step``), so the run's walks are its first walk's
+    images under step, step^2, ...: with the tables step^(2^k), built once
+    up to the longest run, ceil(log2 L) gathers list a run of L cells.  A
+    Python loop goes once per run, and walks each larger cell with
+    ``_nn_within`` from the real tail, one kernel call per step.
     """
     n = by_cell.size
     cells = np.concatenate(chains)
@@ -812,25 +819,42 @@ def _chain_path(pts: np.ndarray, wf: WeightFunction, alpha: float, by_cell: np.n
     walk_m = size[cell]
     walks = _walks(pts, wf, alpha, by_cell, lo, size, cell, start)
     flat = walks[np.arange(walks.shape[1]) < walk_m[:, None]]
-    walk_at = np.zeros(n, dtype=np.intp)
-    walk_at[start] = walk_m.cumsum() - walk_m
-    last = np.zeros(n, dtype=np.intp)
-    last[start] = walks[np.arange(start.size), walk_m - 1]
-    entry, walk_at, last = entry.tolist(), walk_at.tolist(), last.tolist()
-    at, extra, tail = [], [], -1
-    for c, first, known in zip(cells.tolist(), head.tolist(), ahead.tolist()):
-        if known:
-            s = int(lo[c]) if first else entry[tail]
-            at.append(walk_at[s])
-            tail = last[s]
+    walk_at = walk_m.cumsum() - walk_m
+    last = walks[np.arange(start.size), walk_m - 1]
+    # walks numbered by their place in start: entry[v] becomes the walk into
+    # the next cell from node v, and step[w] the walk after walk w (any walk
+    # where a chain head or a larger cell comes next)
+    slot = np.zeros(n, dtype=np.intp)
+    slot[start] = np.arange(start.size)
+    entry = slot[entry]
+    step = entry[last]
+    # runs of cells walked ahead, split at each chain head and larger cell
+    cut = head | ~ahead
+    cut[1:] |= ~ahead[:-1]
+    bounds = np.append(np.flatnonzero(cut), cells.size).tolist()
+    longest = max(b - a for a, b in zip(bounds, bounds[1:]))
+    jumps = [step]  # jumps[k] = step applied 2^k times
+    for _ in range(1, (longest - 1).bit_length()):
+        jumps.append(jumps[-1][jumps[-1]])
+    at = np.empty(cells.size, dtype=np.intp)
+    extra, tail = [], -1
+    for a, b in zip(bounds, bounds[1:]):
+        c = int(cells[a])
+        if ahead[a]:
+            seq = np.array([slot[lo[c]] if head[a] else entry[tail]])
+            for jump in jumps[:(b - a - 1).bit_length()]:
+                seq = np.concatenate((seq, jump[seq]))
+            seq = seq[:b - a]
+            at[a:b] = walk_at[seq]
+            tail = int(last[seq[-1]])
         else:
             nodes = by_cell[lo[c]:lo[c] + size[c]].tolist()
-            walk = (_nn_within(pts, wf, alpha, nodes, nodes[0]) if first
+            walk = (_nn_within(pts, wf, alpha, nodes, nodes[0]) if head[a]
                     else _nn_within(pts, wf, alpha, nodes, tail)[1:])
-            at.append(flat.size + len(extra))
+            at[a] = flat.size + len(extra)
             extra += walk
             tail = walk[-1]
-    return np.concatenate((flat, np.array(extra, dtype=np.intp)))[_ranges(np.array(at), m)]
+    return np.concatenate((flat, np.array(extra, dtype=np.intp)))[_ranges(at, m)]
 
 
 def grid_tour(points, wf: WeightFunction, alpha: float, tiling: Tiling) -> Tour:
@@ -852,7 +876,8 @@ def grid_tour(points, wf: WeightFunction, alpha: float, tiling: Tiling) -> Tour:
     if n < 2:
         raise ValueError("the constructive tour needs at least 2 nodes")
     labels = cell_index_array(tiling, pts)
-    by_cell = labels.argsort(kind="stable")
+    # stable, so any key type gives one order; 8- and 16-bit keys radix-sort
+    by_cell = labels.astype(np.min_scalar_type(tiling.cell_count)).argsort(kind="stable")
     size = np.bincount(labels)
     occupied = size.nonzero()[0]
     lo, size = (size.cumsum() - size)[occupied], size[occupied]

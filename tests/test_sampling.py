@@ -239,3 +239,42 @@ def test_draw_points_dedupe_matches_reference(levels, count, min_batches, desc):
     ref = reference_draw_points(d, count, ref_rng)
     assert got.tobytes() == ref.tobytes()
     assert got_rng.calls == ref_rng.calls >= 2 * min_batches
+
+
+class ColumnLatticeRng(CountingRng):
+    """Candidate x on a lattice of ``levels`` values and y continuous: x
+    repeats often, whole points almost never."""
+
+    def __init__(self, seed, levels):
+        super().__init__(seed)
+        self.levels = levels
+
+    def uniform(self, low, high, size):
+        draw = super().uniform(low, high, size)
+        if isinstance(size, tuple):
+            draw[:, 0] = np.floor((draw[:, 0] + 0.5) * self.levels) / self.levels - 0.5
+        return draw
+
+
+def test_draw_points_keeps_rows_that_share_only_x():
+    # equal x values send the draw to the full row dedupe, which must keep
+    # every row, in draw order, since no two rows are equal
+    d = build_density("uniform", 1.0, 1.0)
+    got_rng, ref_rng = ColumnLatticeRng(34, 16), ColumnLatticeRng(34, 16)
+    got = _draw_points(d, 1000, got_rng)
+    ref = reference_draw_points(d, 1000, ref_rng)
+    assert np.unique(got[:, 0]).size <= 16
+    assert np.unique(got, axis=0).shape[0] == 1000
+    assert got.tobytes() == ref.tobytes()
+    assert got_rng.calls == ref_rng.calls == 2
+
+
+def test_draw_points_skips_the_row_dedupe_when_no_x_repeats(monkeypatch):
+    d = build_density("uniform", 1.0, 1.0)
+    ref = reference_draw_points(d, 4096, make_rng(35))
+
+    def no_unique(*args, **kwargs):
+        raise AssertionError("np.unique called on a draw without a repeated x")
+
+    monkeypatch.setattr(np, "unique", no_unique)
+    assert _draw_points(d, 4096, make_rng(35)).tobytes() == ref.tobytes()

@@ -522,6 +522,30 @@ def test_grid_tour_matches_reference_on_a_lattice():
             assert (g.order, g.weight) == reference_grid_tour(pts, wf, 1.0, tiling), (kind, a)
 
 
+@pytest.mark.parametrize("dens,a,kind,alpha,large_cells", [
+    # no large cell: the sparse chain is one run of more than 2048 cells,
+    # which the pointer doubling covers in 12 levels
+    ("uniform", 1.0, "euclidean", 1.0, range(1)),
+    # cells of about 25 nodes: some 30 runs, each after a cell of more than
+    # WALK_MAX_NODES nodes
+    ("uniform", 5.0, "radial_metric", 1.5, range(20, 4096)),
+    # cells of about 16 nodes, a few heavy ones above WALK_MAX_NODES
+    ("checkerboard", 4.0, "coordinate_metric", 0.5, range(1, 4096)),
+])
+def test_grid_tour_matches_reference_across_runs(dens, a, kind, alpha, large_cells):
+    n = 4096
+    pts = random_points(n, seed=1) if dens == "uniform" else sample_binomial(CHECKERBOARD, n, 1).points
+    tiling = build_tiling(n, a)
+    size = np.bincount(cell_index_array(tiling, pts))
+    large = np.count_nonzero(size > solvers.WALK_MAX_NODES)
+    assert large in large_cells
+    if not large:
+        assert np.count_nonzero((size >= 1) & (size <= 2)) > 2048
+    wf = make_weight_function(kind)
+    g = grid_tour(pts, wf, alpha, tiling)
+    assert (g.order, g.weight) == reference_grid_tour(pts, wf, alpha, tiling)
+
+
 def test_grid_tour_scores_no_lone_candidate():
     # entering a cell is the first step of its walk from the chain tail, and
     # a walk takes its last node unscored: no cost call has a single row
