@@ -45,6 +45,10 @@ BETA_GRID = ["--grid-points", "128"]
 BETA_CURVES = {
     "beta_curve_eps1_1_eps2_1.csv": ["--eps1", "1", "--eps2", "1", *BETA_GRID],
     "beta_curve_eps1_0.5_eps2_1.5.csv": ["--eps1", "0.5", "--eps2", "1.5", *BETA_GRID],
+    # A up to 10: C2's dense-cell probability rounds to 1 on the top 43 of
+    # the 128 grid points, so the scan passes over points it cannot evaluate
+    "beta_curve_a_max_10.csv": ["--eps1", "1", "--eps2", "1", "--a-max", "10", *BETA_GRID,
+                                "--alpha-max", "3"],
 }
 # the benchmark's reference curve: the default 512-point grid, read only
 BETA_REFERENCE = os.path.join(os.path.dirname(os.path.dirname(GOLDEN)), "bench", "beta_reference.csv")
