@@ -6,12 +6,32 @@ the polylogarithm where the series would be long), the deviation
 constants C1(A) and C2(A), the bracket constants beta_low / beta_up obtained
 by optimizing over the cell-size parameter A, and the Bernstein/Chernoff
 tail estimate used to sanity-check empirical frequencies.
+
+beta_up's grid scan is bounded.  Each piece of
+
+    C2(A) = (2A)^alpha + 2^alpha A^(alpha-2) (M1 + M2)
+
+is monotone in A: M1 = E T~^alpha falls as the dense-cell probability p
+rises, M2 = E T^^alpha rises as 1 - p falls, (2A)^alpha rises and
+A^(alpha-2) is monotone.  So between two evaluated grid points A0 < A1,
+
+    C2 >= (2A0)^alpha + 2^alpha min(A0^(alpha-2), A1^(alpha-2)) (M1(A1) + M2(A0)),
+
+from moments already computed at the two ends.  The scan evaluates every
+``_SCAN_STRIDE``-th grid point and the last, then splits at its midpoint
+every interval whose bound, shrunk by ``_C2_BOUND_MARGIN``, does not exceed
+the best value found so far; the others are dropped, and every point in
+them has a computed C2 strictly above the minimum.  A dropped point is
+counted as skipped only where it would be: it is evaluated unless it passes
+the dense-cell test and ``_finite_moment_floor`` certifies both of its
+moments finite.  The result is the full scan's, bit for bit.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -45,6 +65,23 @@ _EM_COEFFS = tuple(b / math.factorial(2 * j) for j, b in enumerate(
 _EM_N = 10
 _COMPLEMENT_DIRECT_BELOW = 2.0**-10
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# The bounded C2 scan first evaluates every 32nd grid point (17 of 512).
+# On the default beta curve a stride of 16 makes 1648 moment calls, 32
+# makes 1438 and 64 makes 1340, so strides past 32 save little.
+_SCAN_STRIDE = 32
+# C2's interval bound is shrunk by this relative margin before it is
+# compared with a computed C2.  The computed moments are within tol = 1e-9
+# of theirs on values >= 1, and rounding in p, q, the powers and the sums
+# adds about 1e-13, so computed C2 values and bounds are within 1e-8 of
+# the true ones, far inside 1e-6.
+_C2_BOUND_MARGIN = 1e-6
+# geometric_moment is certified finite by Lindelöf's expansion for alpha in
+# this range, where Gamma(1+alpha) t^-(alpha+1) < e^_EXPANSION_LOG_MAX
+_CERTIFIED_ALPHA_MIN = 2.0**-20
+_CERTIFIED_ALPHA_MAX = 8.0
+_EXPANSION_LOG_MAX = 700.0
+# s >= 1 - 1/e, that is t = -log(1-s) >= 1, where the series certifies
+_SERIES_ALWAYS_FROM = -math.expm1(-1.0)
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -282,6 +319,46 @@ def _lindelof_moment(p: float, alpha: float, tol: float) -> float:
     raise fail(f"Lindelöf's expansion did not settle within {_EXPANSION_MAX_TERMS} terms")
 
 
+def _finite_moment_floor(alpha: float) -> float:
+    """The least s from which ``geometric_moment(s, alpha, tol)`` is certified
+    to return a finite value for every tol > 0, or inf where no s is.  With
+    K = _SERIES_CHUNK, q = 1 - s and t = -log q:
+
+    - The series branch is finite for alpha < 84.24: each of its K terms is
+      at most K^alpha, so the sum is below K^(alpha+1) < e^709 while
+      (alpha+1) log K < 709, the complement of ``geometric_moment``'s
+      overflow guard.
+    - Where s >= 1 - 1/e (t >= 1) and alpha < 84.24 the series serves.  Its
+      ratio rho = ((K+1)/K)^alpha q is at most e^(alpha/K - 1) < e^-0.979,
+      so the log tail that ``_series_certifies`` compares with log tol is
+      at most log s + alpha log(K+1) - K t - log(1 - rho)
+      <= alpha log 4097 - 4096 + 0.47 < -3394, below the log of every
+      positive float.
+    - Where s < 1 - 1/e (t < 1) either branch may serve, and for alpha in
+      [_CERTIFIED_ALPHA_MIN, _CERTIFIED_ALPHA_MAX] = [2^-20, 8] Lindelöf's
+      expansion is finite and settles, once
+      (alpha+1) log(1/t) + lgamma(1+alpha) <= 700; as t >= s, s at or
+      above the floor returned ensures that.  In ``_lindelof_moment``'s terms:
+      the leading term G = Gamma(1+alpha) t^-(alpha+1) is below e^700; the
+      k = 0 term is at most |sin(pi alpha/2)| zeta(1+alpha) a_0 <= pi a_0
+      <= 1 (zeta(1+x) <= 1 + 1/x, which the bound on alpha keeps finite),
+      and sum_k |a_k| = 2 Gamma(1+alpha) / (2 pi - t)^(1+alpha) <= 0.38, so
+      with zeta(2+alpha) < 1.65 the other terms add at most 0.63.  Every
+      partial value is then at most (s/q)(G + 2) < (e - 1)(e^700 + 2),
+      finite.  At k = 63, |a_64| <= 2 * 72! / (64! (2 pi)^73) < 5.3e-44 (its
+      largest, at alpha = 8) and the next ratio is below 73/65/(2 pi) < 0.18,
+      so the remainder is below (s/q) 6.5e-44.  The full sum is
+      (q/s) E T^alpha >= q/s > 1/(e-1) > 0.58, and the computed partial sum
+      is within 1e-12 (G + 2) of it, the tail and rounding included, so |value| > (s/q) / 2 and the stopping test
+      remainder < 2^-53 |value| holds by k = 63, within the 64 terms.
+    """
+    if (alpha + 1.0) * _LOG_CHUNK >= _EXP_OVERFLOW_ABOVE:
+        return math.inf
+    if _CERTIFIED_ALPHA_MIN <= alpha <= _CERTIFIED_ALPHA_MAX:
+        return math.exp(-(_EXPANSION_LOG_MAX - math.lgamma(1.0 + alpha)) / (alpha + 1.0))
+    return _SERIES_ALWAYS_FROM
+
+
 def geometric_moment_factorial_bound(p: float, r: int) -> float:
     """Closed-form dominator r! / (1 - e^{-p})^r of the r-th geometric moment."""
     if not (0.0 < p < 1.0):
@@ -297,18 +374,51 @@ def _c1_formula(a: float, alpha: float, eps1: float, eps2: float, c1: float) -> 
     return (c1 * a) ** alpha / a2 * (-math.expm1(-eps1 * a2)) * math.exp(-8.0 * eps2 * a2)
 
 
-def _c2_formula(a: float, alpha: float, delta: float, c2: float, tol: float) -> float:
+def _c2_formula(a: float, alpha: float, delta: float, c2: float, tol: float,
+                moments: dict | None = None) -> float:
     """C2(A) = (2 c2 A)^alpha * (1 + (E T~^alpha + E T^^alpha) / A^2) with T~
     geometric on the dense-cell probability p and T^ geometric on 1 - p.
     Where 1 - p rounds to 1 (tiny A), E T^^alpha = 1 + (2^alpha - 1) p + O(p^2)
-    is 1 to float resolution."""
+    is 1 to float resolution.  ``moments``, if given, maps A to the pair
+    (E T~^alpha, E T^^alpha) after the call."""
     p, q = _dense_split(delta * a * a)
     if not 0.0 < p < 1.0:  # rounds to 0 or 1, or NaN once delta * A^2 overflows
         raise SeriesConvergenceError(
             f"the moment series of C2 cannot converge at A={a}, delta={delta}: "
             f"the dense-cell probability rounds to {p}")
-    moments = geometric_moment(p, alpha, tol) + (1.0 if q == 1.0 else geometric_moment(q, alpha, tol))
-    return (2.0 * c2 * a) ** alpha * (1.0 + moments / (a * a))
+    m1 = geometric_moment(p, alpha, tol)
+    m2 = 1.0 if q == 1.0 else geometric_moment(q, alpha, tol)
+    if moments is not None:
+        moments[a] = m1, m2
+    return (2.0 * c2 * a) ** alpha * (1.0 + (m1 + m2) / (a * a))
+
+
+def _c2_scan(alpha: float, delta: float, tol: float):
+    """C2(A) at c2 = 1 with its interval bound and certificate, as
+    ``_optimize`` takes them.  The bound reads the moments the objective
+    recorded at the two ends; it is the module docstring's, through
+    2^alpha A^(alpha-2) = (2A)^alpha / A^2, shrunk by ``_C2_BOUND_MARGIN``.
+    The certificate clears A where p lies in (0, 1) and neither moment lies
+    below ``_finite_moment_floor``.  A cleared point inside an interval with
+    evaluated ends cannot raise in the power or the division either: both
+    are computed at the interval's ends, and (2A)^alpha <= (2 A1)^alpha and
+    A^2 >= A0^2 there."""
+    moments: dict[float, tuple[float, float]] = {}
+    floor = _finite_moment_floor(alpha)
+
+    def c2(a: float) -> float:
+        return _c2_formula(a, alpha, delta, 1.0, tol, moments)
+
+    def bound(a0: float, a1: float) -> float:
+        pow0, pow1 = (2.0 * a0) ** alpha, (2.0 * a1) ** alpha
+        lb = pow0 + min(pow0 / (a0 * a0), pow1 / (a1 * a1)) * (moments[a1][0] + moments[a0][1])
+        return lb * (1.0 - _C2_BOUND_MARGIN)
+
+    def certified(a: float) -> bool:
+        p, q = _dense_split(delta * a * a)
+        return 0.0 < p < 1.0 and p >= floor and (q == 1.0 or q >= floor)
+
+    return c2, bound, certified
 
 
 def deviation_constants(mp: ModelParams, a: float, tol: float = 1e-9) -> tuple[float, float]:
@@ -340,32 +450,71 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return xm, f(xm)
 
 
-def _optimize(f, a_max: float, grid_points: int, refine_tol: float, minimize: bool):
-    """Dense grid scan over (0, a_max] plus golden-section refinement around
-    the best grid point.  Points where f raises SeriesConvergenceError are
-    skipped (they sit far from the optimum by construction)."""
+def _optimize(f, a_max: float, grid_points: int, refine_tol: float, bound=None, certified=None):
+    """Minimize f over (0, a_max]: a grid scan plus golden-section refinement
+    around the best grid point.  Returns (argmin, min, skipped), where
+    skipped counts the grid points at which f raises SeriesConvergenceError
+    (they sit far from the optimum by construction).
+
+    Without ``bound`` every grid point is evaluated.  With it the scan
+    evaluates every ``_SCAN_STRIDE``-th grid point and the last, then takes
+    the open intervals between evaluated points in increasing order of
+    ``bound(a0, a1)``, a lower bound on every computed f over [a0, a1] once
+    f has returned finite values at both ends (an end that did not gives
+    no bound).  It splits an interval at its midpoint while its bound does
+    not exceed the best value found; once the least bound left does, every
+    point left lies strictly above the minimum and is dropped.  A dropped
+    point is still evaluated unless ``certified(a)`` says that f does not
+    raise there, so the argmin, its value (first-index ties included) and
+    the skip count are the full scan's."""
     if grid_points < 3:
         raise ValueError("need at least 3 grid points")
-    sign = 1.0 if minimize else -1.0
-    grid = np.linspace(a_max / grid_points, a_max, grid_points)
-    vals = np.full(grid_points, np.inf)
+    grid = np.linspace(a_max / grid_points, a_max, grid_points).tolist()
+    vals = [math.inf] * grid_points
     skipped = 0
-    for i, a in enumerate(grid):
+    least = math.inf
+
+    def evaluate(i: int) -> None:
+        nonlocal skipped, least
         try:
-            vals[i] = sign * f(float(a))
+            vals[i] = f(grid[i])
         except SeriesConvergenceError:
             skipped += 1
-    if not np.any(np.isfinite(vals)):
+        else:
+            least = min(least, vals[i])
+
+    def interval(i: int, j: int) -> tuple[float, int, int]:
+        ends_ok = math.isfinite(vals[i]) and math.isfinite(vals[j])
+        return (bound(grid[i], grid[j]) if ends_ok else -math.inf), i, j
+
+    stride = 1 if bound is None else _SCAN_STRIDE
+    marks = list(range(0, grid_points - 1, stride)) + [grid_points - 1]
+    for i in marks:
+        evaluate(i)
+    heap = [interval(i, j) for i, j in zip(marks, marks[1:]) if j - i > 1]
+    heapq.heapify(heap)
+    while heap and heap[0][0] <= least:
+        _, i, j = heapq.heappop(heap)
+        m = (i + j) // 2
+        evaluate(m)
+        for lo, hi in ((i, m), (m, j)):
+            if hi - lo > 1:
+                heapq.heappush(heap, interval(lo, hi))
+    for _, i, j in heap:
+        for k in range(i + 1, j):
+            if not certified(grid[k]):
+                evaluate(k)
+    if not any(map(math.isfinite, vals)):
         raise ValueError("objective could not be evaluated anywhere on the search grid")
     best = int(np.argmin(vals))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid_points - 1)]
     if best == 0:
         lo = grid[0] * 0.5
-    arg, val = _golden_section(lambda a: sign * f(a), float(lo), float(hi), refine_tol)
+    arg, val = _golden_section(f, lo, hi, refine_tol)
     if vals[best] < val:  # grid point was already better than the refined midpoint
-        arg, val = float(grid[best]), float(vals[best])
-    return float(arg), float(sign * val), skipped
+        arg, val = grid[best], vals[best]
+    return float(arg), float(val), skipped
 
 
 def beta_bounds(
@@ -380,7 +529,12 @@ def beta_bounds(
 
     beta_low maximizes C1(A) and beta_up minimizes C2(A), both with unit
     weight constants c1 = c2 = 1, over A in (0, a_max]; C2's moments are
-    taken to 1e-9.
+    taken to 1e-9.  C1 is closed-form and scanned at every grid point.
+    C2's scan is bounded (module docstring): an interval between evaluated
+    points is dropped once its monotone lower bound, shrunk by the margin
+    1e-6, exceeds the best value found, and a dropped point is evaluated
+    all the same unless its moments are certified finite, so both results
+    equal a full scan's bit for bit, skipped_points included.
     """
     if not (0.0 < alpha < math.inf and 0.0 < a_max < math.inf):
         raise ValueError("alpha and a_max must be positive and finite")
@@ -388,15 +542,11 @@ def beta_bounds(
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
     # rejects bad bounds before scanning
     delta = ModelParams(eps1=eps1, eps2=eps2, alpha=alpha).delta
-    arg_lo, val_lo, sk_lo = _optimize(
-        lambda a: _c1_formula(a, alpha, eps1, eps2, 1.0),
-        a_max, grid_points, refine_tol, minimize=False,
-    )
-    arg_up, val_up, sk_up = _optimize(
-        lambda a: _c2_formula(a, alpha, delta, 1.0, 1e-9),
-        a_max, grid_points, refine_tol, minimize=True,
-    )
-    low = BetaResult(value=val_lo, arg_a=arg_lo, grid_points=grid_points,
+    arg_lo, neg_lo, sk_lo = _optimize(
+        lambda a: -_c1_formula(a, alpha, eps1, eps2, 1.0), a_max, grid_points, refine_tol)
+    c2, bound, certified = _c2_scan(alpha, delta, 1e-9)
+    arg_up, val_up, sk_up = _optimize(c2, a_max, grid_points, refine_tol, bound, certified)
+    low = BetaResult(value=-neg_lo, arg_a=arg_lo, grid_points=grid_points,
                      a_max=a_max, refine_tol=refine_tol, skipped_points=sk_lo)
     up = BetaResult(value=val_up, arg_a=arg_up, grid_points=grid_points,
                     a_max=a_max, refine_tol=refine_tol, skipped_points=sk_up)

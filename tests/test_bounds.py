@@ -514,6 +514,158 @@ def test_beta_bounds_refinement_stops_at_float_resolution():
     assert fine[1].value == pytest.approx(default[1].value, rel=1e-9)
 
 
+def full_scan(f, a_max, grid_points, refine_tol):
+    """The exhaustive grid scan that the bounded one must reproduce: f
+    minimized at every grid point, then golden-section refinement around
+    the first best one, as (argmin, min, skipped)."""
+    grid = np.linspace(a_max / grid_points, a_max, grid_points)
+    vals = np.full(grid_points, np.inf)
+    skipped = 0
+    for i, a in enumerate(grid):
+        try:
+            vals[i] = f(float(a))
+        except SeriesConvergenceError:
+            skipped += 1
+    best = int(np.argmin(vals))
+    lo = grid[max(best - 1, 0)] if best else grid[0] * 0.5
+    hi = grid[min(best + 1, grid_points - 1)]
+    arg, val = bounds._golden_section(f, float(lo), float(hi), refine_tol)
+    if vals[best] < val:
+        arg, val = float(grid[best]), float(vals[best])
+    return float(arg), float(val), skipped
+
+
+SWEEP_EPS = ((1.0, 1.0), (0.5, 1.5), (0.2, 1.8))
+SWEEP_ALPHAS = tuple(0.25 * i for i in range(1, 17)) + (5.0, 10.0)
+SWEEP_GRIDS = ((5.0, 512), (10.0, 512), (5.0, 128), (2.0, 64))
+
+
+def test_bounded_scan_matches_the_full_scan():
+    # 216 scans across the delta branch, small and large alpha (10 is past
+    # the expansion's certificate), grids that skip points (a_max = 10) and
+    # coarse grids, compared in every bit with the exhaustive scan
+    def bits(arg, val, skipped):
+        return arg.hex(), val.hex(), skipped
+
+    skipping = 0
+    for eps1, eps2 in SWEEP_EPS:
+        for alpha in SWEEP_ALPHAS:
+            delta = ModelParams(eps1=eps1, eps2=eps2, alpha=alpha).delta
+            for a_max, points in SWEEP_GRIDS:
+                low, up = beta_bounds(alpha, eps1, eps2, a_max=a_max, grid_points=points)
+                arg, neg, skipped = full_scan(
+                    lambda a: -bounds._c1_formula(a, alpha, eps1, eps2, 1.0), a_max, points, 1e-10)
+                assert bits(low.arg_a, low.value, low.skipped_points) == bits(arg, -neg, skipped)
+                ref = full_scan(
+                    lambda a: bounds._c2_formula(a, alpha, delta, 1.0, 1e-9), a_max, points, 1e-10)
+                assert bits(up.arg_a, up.value, up.skipped_points) == bits(*ref)
+                skipping += up.skipped_points > 0
+    assert skipping >= 50
+
+
+def test_finite_moment_floor_certifies_finite_moments():
+    # every (s, alpha) the certificate clears has a finite moment: the
+    # expansion's range up to alpha = 8, t = 1 where the series takes over,
+    # the floor itself, and the series alone up to the overflow guard
+    guard = bounds._EXP_OVERFLOW_ABOVE / bounds._LOG_CHUNK - 1.0
+    below_guard = guard
+    while (below_guard + 1.0) * bounds._LOG_CHUNK >= bounds._EXP_OVERFLOW_ABOVE:
+        below_guard = math.nextafter(below_guard, 0.0)
+    assert 84.23 < below_guard < 84.24
+    assert bounds._finite_moment_floor(math.nextafter(below_guard, 100.0)) == math.inf
+    t1 = -math.expm1(-1.0)  # s where t = -log(1 - s) = 1
+    alphas = [2.0**-20, 1e-3, 0.25, 0.5, 1.0, 1.7, 2.5, 4.0, 6.0, math.nextafter(8.0, 0.0), 8.0,
+              math.nextafter(8.0, 9.0), 10.0, 30.0, 60.0, below_guard]
+    checked = 0
+    for alpha in alphas:
+        floor = bounds._finite_moment_floor(alpha)
+        assert floor <= t1
+        if 2.0**-20 <= alpha <= 8.0:
+            assert floor < 1e-30
+        else:
+            assert floor == t1
+        ss = [floor, math.nextafter(floor, 1.0), t1, math.nextafter(t1, 0.0), math.nextafter(t1, 1.0),
+              *np.geomspace(floor, 1.0 - 2.0**-53, 60).tolist(), 1.0 - 2.0**-53]
+        for s in ss:
+            if floor <= s < 1.0:
+                assert math.isfinite(geometric_moment(s, alpha)), (s, alpha)
+                checked += 1
+    assert checked > 900
+
+
+def test_finite_moment_floor_lies_near_the_expansion_overflow():
+    # at alpha = 8 the expansion's leading term Gamma(9) t^-9 overflows from
+    # t ~ 1.8e-34 down, a factor 3 below the floor: the certificate is sound
+    # and not vacuous
+    floor = bounds._finite_moment_floor(8.0)
+    assert 3e-34 < floor < 1e-33
+    assert math.isfinite(geometric_moment(floor, 8.0))
+    with pytest.raises(SeriesConvergenceError):
+        geometric_moment(floor / 10.0, 8.0)
+
+
+def test_bounded_scan_evaluates_dropped_points_it_cannot_certify():
+    # a parabola that raises on a band of grid points (i + 1) / 512,
+    # i = 165..185, between the first pass's points 160 and 192 and far
+    # from its minimum: the band is dropped, so its points count as skipped
+    # only because the certificate leaves them out
+    band = (0.324, 0.364)
+    calls = []
+
+    def f(a):
+        calls.append(a)
+        if band[0] <= a <= band[1]:
+            raise SeriesConvergenceError("band")
+        return (a - 0.7) ** 2 + 1.0
+
+    def bound(a0, a1):
+        return min((a - 0.7) ** 2 for a in (a0, a1, min(max(0.7, a0), a1))) + 1.0
+
+    def certified(a):
+        return not band[0] <= a <= band[1]
+
+    bounded = bounds._optimize(f, 1.0, 512, 1e-10, bound, certified)
+    scanned = len(calls)
+    reference = full_scan(f, 1.0, 512, 1e-10)
+    assert bounded == reference and reference[2] == 21
+    assert scanned < 128
+
+
+def test_c2_certificate():
+    # it clears points of a typical scan, never one whose dense-cell
+    # probability rounds to 1, and nothing past alpha = 8, where no s
+    # certifies both moments
+    _, _, certified = bounds._c2_scan(1.0, 1.0, 1e-9)
+    assert all(certified(a) for a in np.linspace(5.0 / 512, 5.0, 512).tolist())
+    assert not certified(10.0)
+    for alpha in (10.0, 100.0):
+        _, _, certified = bounds._c2_scan(alpha, 1.0, 1e-9)
+        assert not any(certified(a) for a in np.linspace(0.01, 5.0, 200).tolist())
+
+
+def test_default_curve_evaluates_few_grid_points(monkeypatch):
+    # the bounded scan evaluates C2 at no more than a quarter of the default
+    # 512 grid points per alpha; an evaluated point is one whose dense-cell
+    # probability reaches geometric_moment
+    seen = []
+    real = bounds.geometric_moment
+
+    def recording(p, alpha, tol=1e-9):
+        seen.append(p)
+        return real(p, alpha, tol)
+
+    monkeypatch.setattr(bounds, "geometric_moment", recording)
+    grid = np.linspace(5.0 / 512, 5.0, 512).tolist()
+    ps = {bounds._dense_split(a * a)[0] for a in grid}
+    total = 0
+    for alpha in np.arange(0.25, 2.0 + 1e-12, 0.25).tolist():
+        seen.clear()
+        beta_bounds(alpha, 1.0, 1.0)
+        total += len(seen)
+        assert 17 <= len(ps.intersection(seen)) <= 128, alpha
+    assert total <= 2000
+
+
 # ---------------------------------------------------------------------------
 # chernoff tail
 # ---------------------------------------------------------------------------
