@@ -110,14 +110,19 @@ class ApproxPathRecord:
     out_weight: float
 
 
-def _validate_permutation(order, n: int) -> np.ndarray:
-    """``order`` as a new int64 array, after checking that its entries are
-    integers and that it holds each of 0..n-1 once."""
+def _int64_order(order) -> np.ndarray:
+    """``order`` as a new int64 array."""
     # array("q") takes integers alone (a float raises TypeError) and reads a
     # tuple as fast as np.array with a dtype; np.asarray would first scan
     # every entry for a common dtype, about 0.1 ms more at 4096 entries
+    return np.frombuffer(array("q", order), dtype=np.int64)
+
+
+def _validate_permutation(order, n: int) -> np.ndarray:
+    """``order`` as a new int64 array, after checking that its entries are
+    integers and that it holds each of 0..n-1 once."""
     try:
-        idx = np.frombuffer(array("q", order), dtype=np.int64)
+        idx = _int64_order(order)
     except (TypeError, OverflowError):
         raise ValueError(f"order is not a permutation of 0..{n - 1}: "
                          "its entries are not integers") from None
@@ -145,7 +150,13 @@ def tour_weight(points, order, wf: WeightFunction, alpha: float) -> float:
     n = pts.shape[0]
     if n < 2:
         raise ValueError("a tour needs at least 2 nodes")
-    po = pts.take(_validate_permutation(order, n), axis=0)
+    return _order_weight(pts, _validate_permutation(order, n), wf, alpha)
+
+
+def _order_weight(pts: np.ndarray, idx: np.ndarray, wf: WeightFunction, alpha: float) -> float:
+    """``tour_weight`` of the int64 permutation ``idx``, unchecked: for the
+    solvers, which have just built it."""
+    po = pts.take(idx, axis=0)
     return float(np.sum(edge_weight_pairs(wf, alpha, po, np.concatenate((po[1:], po[:1])))))
 
 
@@ -156,10 +167,12 @@ def _cycle_weight(mat: np.ndarray, order: tuple[int, ...]) -> float:
     return float(mat[order, order[1:] + order[:1]].sum())
 
 
+@lru_cache(maxsize=None)
 def _cycle_rows(n: int) -> np.ndarray:
     """One int8 row per cycle through node 0, its other nodes in visiting
     order, in the lexicographic order of ``itertools.permutations(range(1,
-    n))`` less every row with p[0] > p[-1], which reflects an earlier one."""
+    n))`` less every row with p[0] > p[-1], which reflects an earlier one.
+    Read-only, since it is cached: 1.6 MB at BRUTEFORCE_MAX_N = 10."""
     perms = np.zeros((1, 0), dtype=np.int8)
     for m in range(1, n):
         # the m! orders of 0..m-1: each first value f in turn, followed by
@@ -170,6 +183,7 @@ def _cycle_rows(n: int) -> np.ndarray:
         perms = np.hstack((first, rest))
     perms = perms[perms[:, 0] <= perms[:, -1]]
     perms += 1
+    perms.setflags(write=False)
     return perms
 
 
@@ -693,7 +707,7 @@ def two_opt(points, tour: Tour, wf: WeightFunction, alpha: float) -> Tour:
     if n >= 4:
         _local_search(pts, wf, alpha, t)
     order = canonical_cycle(t.tolist())
-    return Tour(order=order, weight=tour_weight(pts, order, wf, alpha))
+    return Tour(order=order, weight=_order_weight(pts, _int64_order(order), wf, alpha))
 
 
 def _score_table(pts: np.ndarray, wf: WeightFunction, alpha: float, by_cell: np.ndarray,
@@ -890,7 +904,7 @@ def grid_tour(points, wf: WeightFunction, alpha: float, tiling: Tiling) -> Tour:
     else:
         cycle = _chain_path(pts, wf, alpha, by_cell, lo, size, [cells])
     order = canonical_cycle(cycle.tolist())
-    return Tour(order=order, weight=tour_weight(pts, order, wf, alpha))
+    return Tour(order=order, weight=_order_weight(pts, _int64_order(order), wf, alpha))
 
 
 def _distance_to_rect(pts: np.ndarray, rect: tuple[float, float, float, float]) -> np.ndarray:

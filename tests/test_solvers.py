@@ -58,6 +58,28 @@ def full_scan_oracle(points, wf, alpha):
 
 # ---------------------------------------------------------------------------
 # tour weight
+
+
+def test_solvers_weigh_their_own_order_without_rechecking_it(monkeypatch):
+    # grid_tour and two_opt sum the edges of the order they built without
+    # validating it again; two_opt still validates the tour it is given
+    pts = random_points(300, 5)
+    start = grid_tour(pts, EU, 1.0, build_tiling(300, 1.0))
+    polished = two_opt(pts, start, EU, 1.0)
+    checked = []
+    real = solvers._validate_permutation
+
+    def counting(order, n):
+        checked.append(n)
+        return real(order, n)
+
+    monkeypatch.setattr(solvers, "_validate_permutation", counting)
+    assert grid_tour(pts, EU, 1.0, build_tiling(300, 1.0)) == start
+    assert checked == []
+    assert two_opt(pts, start, EU, 1.0) == polished
+    assert checked == [300]
+    for t in (start, polished):
+        assert t.weight == tour_weight(pts, t.order, EU, 1.0)
 # ---------------------------------------------------------------------------
 
 
@@ -177,6 +199,13 @@ def test_cycle_rows_follow_the_permutation_order():
         rows = _cycle_rows(n)
         assert rows.dtype == np.int8
         assert rows.tolist() == [list(p) for p in permutations(range(1, n)) if p[0] <= p[-1]]
+
+
+def test_cycle_rows_are_cached_read_only():
+    rows = _cycle_rows(9)
+    assert _cycle_rows(9) is rows
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0
 
 
 @pytest.mark.parametrize("n", [17, 18])
