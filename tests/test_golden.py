@@ -1,5 +1,6 @@
 """Golden-bytes fixtures: the JSON and CSV report of one small config per
-experiment kind, the stdout of ``beta --curve``, the ``verify`` lines of
+experiment kind, the stdout of ``beta --curve`` and of ``solve``, ``tour``
+and ``tour --two-opt`` on 18 points, the ``verify`` lines of
 an invariant suite run against a sabotaged exact solver, and the order hash
 and weight of ``two_opt`` from ``grid_tour`` starts on uniform points and
 from shuffled starts on a lattice, frozen so that
@@ -53,6 +54,13 @@ BETA_CURVES = {
 # the benchmark's reference curve: the default 512-point grid, read only
 BETA_REFERENCE = os.path.join(os.path.dirname(os.path.dirname(GOLDEN)), "bench", "beta_reference.csv")
 SABOTAGED = "verify_sabotaged.txt"
+CLI_POINTS = "cli_points.csv"
+# the stdout of each solver command on the points of CLI_POINTS
+CLI_RUNS = {
+    "cli_solve.json": ["solve"],
+    "cli_tour.json": ["tour"],
+    "cli_tour_two_opt.json": ["tour", "--two-opt"],
+}
 POLISHED = "two_opt.csv"
 
 
@@ -65,11 +73,19 @@ def _report(kind: str):
         return RUNNERS[kind](ExperimentConfig.from_dict(json.load(fh)))
 
 
-def _beta_curve(flags: list[str]) -> str:
+def _stdout(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        assert main(["beta", "--curve", *flags]) == 0
+        assert main(argv) == 0
     return out.getvalue()
+
+
+def _beta_curve(flags: list[str]) -> str:
+    return _stdout(["beta", "--curve", *flags])
+
+
+def _cli_run(name: str) -> str:
+    return _stdout([*CLI_RUNS[name], "--points", _golden(CLI_POINTS)])
 
 
 def _sabotaged_verify() -> str:
@@ -151,6 +167,11 @@ def test_default_beta_curve_matches_benchmark_reference():
         assert _beta_curve(["--eps1", "1", "--eps2", "1"]) == fh.read()
 
 
+@pytest.mark.parametrize("name", sorted(CLI_RUNS))
+def test_cli_solver_output_matches_golden(name):
+    assert _cli_run(name) == _read(name)
+
+
 def test_sabotaged_verify_matches_golden():
     assert _sabotaged_verify() == _read(SABOTAGED)
 
@@ -168,6 +189,9 @@ def regenerate() -> None:
     for name, flags in BETA_CURVES.items():
         with open(_golden(name), "w", newline="") as fh:
             fh.write(_beta_curve(flags))
+    for name in CLI_RUNS:
+        with open(_golden(name), "w", newline="") as fh:
+            fh.write(_cli_run(name))
     with open(_golden(SABOTAGED), "w", newline="") as fh:
         fh.write(_sabotaged_verify())
     with open(_golden(POLISHED), "w", newline="") as fh:
