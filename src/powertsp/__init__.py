@@ -31,6 +31,7 @@ from .solvers import (
     gap_statistics,
     grid_tour,
     min_weight_spanning_path,
+    solve,
     tour_weight,
     tsp_bruteforce,
     tsp_exact,

@@ -122,9 +122,6 @@ class BetaResult:
 
     value: float
     arg_a: float
-    grid_points: int
-    a_max: float
-    refine_tol: float
     skipped_points: int = 0
 
 
@@ -546,10 +543,8 @@ def beta_bounds(
         lambda a: -_c1_formula(a, alpha, eps1, eps2, 1.0), a_max, grid_points, refine_tol)
     c2, bound, certified = _c2_scan(alpha, delta, 1e-9)
     arg_up, val_up, sk_up = _optimize(c2, a_max, grid_points, refine_tol, bound, certified)
-    low = BetaResult(value=-neg_lo, arg_a=arg_lo, grid_points=grid_points,
-                     a_max=a_max, refine_tol=refine_tol, skipped_points=sk_lo)
-    up = BetaResult(value=val_up, arg_a=arg_up, grid_points=grid_points,
-                    a_max=a_max, refine_tol=refine_tol, skipped_points=sk_up)
+    low = BetaResult(value=-neg_lo, arg_a=arg_lo, skipped_points=sk_lo)
+    up = BetaResult(value=val_up, arg_a=arg_up, skipped_points=sk_up)
     return low, up
 
 

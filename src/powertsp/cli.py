@@ -17,10 +17,10 @@ import sys
 import numpy as np
 
 from .bounds import beta_bounds, deviation_constants, ModelParams, SeriesConvergenceError
-from .experiments import ExperimentConfig, ReportIOError, RUNNERS, report_to_json, write_report
+from .experiments import ExperimentConfig, ReportIOError, RUNNERS, format_report, write_report
 from .geometry import build_tiling
 from .invariants import run_invariant_suite
-from .solvers import grid_tour, tsp_exact, two_opt
+from .solvers import solve
 from .weights import BUILTIN_KINDS, make_weight_function
 
 EXIT_OK = 0
@@ -78,7 +78,7 @@ def emit(payload: dict) -> None:
 def cmd_solve(args) -> int:
     pts = load_points_csv(args.points)
     wf = make_weight_function(args.weight)
-    tour = tsp_exact(pts, wf, args.alpha)
+    tour = solve(pts, wf, args.alpha, "exact")
     emit({
         "n": len(pts),
         "weight_kind": args.weight,
@@ -94,11 +94,8 @@ def cmd_tour(args) -> int:
     pts = load_points_csv(args.points)
     wf = make_weight_function(args.weight)
     tiling = build_tiling(len(pts), args.a)
-    tour = grid_tour(pts, wf, args.alpha, tiling)
-    solver = "grid_tour"
-    if args.two_opt:
-        tour = two_opt(pts, tour, wf, args.alpha)
-        solver = "grid_tour+two_opt"
+    solver = "grid_tour+two_opt" if args.two_opt else "grid_tour"
+    tour = solve(pts, wf, args.alpha, solver, tiling)
     emit({
         "n": len(pts),
         "weight_kind": args.weight,
@@ -172,7 +169,7 @@ def cmd_simulate(args) -> int:
         write_report(report, args.out, format=args.format)
         print(f"wrote {args.format} report to {args.out}", file=sys.stderr)
     else:
-        sys.stdout.write(report_to_json(report))
+        sys.stdout.write(format_report(report, args.format))
     return EXIT_OK
 
 

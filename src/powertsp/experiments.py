@@ -23,10 +23,9 @@ import numpy as np
 from .bounds import ModelParams, beta_bounds, deviation_constants
 from .geometry import Tiling, build_tiling
 from .sampling import RNG_NAME, density_from_dict, sample_binomial
-from .solvers import EXACT_TOUR_MAX_N, grid_tour, tsp_exact, two_opt
+from .solvers import EXACT_TOUR_MAX_N, HEURISTICS, solve
 from .weights import BUILTIN_KINDS, WeightFunction, make_weight_function
 
-HEURISTICS = ("grid_tour", "grid_tour+two_opt")
 ALMOST_SURE_ALPHA_LIMIT = 2.0 * (math.sqrt(2.0) - 1.0)
 
 
@@ -285,12 +284,7 @@ def _run_trials(cfg: ExperimentConfig, summarize, require=None):
         batch = []
         for trial in range(cfg.trials):
             pts = sample_binomial(density, n, cfg.seed, stream=(n, trial)).points
-            if solver == "exact":
-                tour = tsp_exact(pts, wf, cfg.alpha)
-            else:
-                tour = grid_tour(pts, wf, cfg.alpha, tiling)
-                if solver == "grid_tour+two_opt":
-                    tour = two_opt(pts, tour, wf, cfg.alpha)
+            tour = solve(pts, wf, cfg.alpha, solver, tiling)
             batch.append(TrialRow(n=n, trial=trial, weight=tour.weight, solver=solver,
                                   seed_stream=f"{cfg.seed}:{n}:{trial}"))
         rows.extend(batch)
@@ -466,14 +460,18 @@ def report_to_csv(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(report, path: str, format: str = "json") -> None:
-    """Persist a report as the full JSON document or the flat per-trial CSV."""
+def format_report(report, format: str = "json") -> str:
+    """A report as the full JSON document or the flat per-trial CSV."""
     if format == "json":
-        payload = report_to_json(report)
-    elif format == "csv":
-        payload = report_to_csv(report)
-    else:
-        raise ValueError(f"format must be 'json' or 'csv', got {format!r}")
+        return report_to_json(report)
+    if format == "csv":
+        return report_to_csv(report)
+    raise ValueError(f"format must be 'json' or 'csv', got {format!r}")
+
+
+def write_report(report, path: str, format: str = "json") -> None:
+    """Persist a report in the form ``format_report`` gives it."""
+    payload = format_report(report, format)
     try:
         with open(path, "w") as fh:
             fh.write(payload)

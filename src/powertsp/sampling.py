@@ -58,15 +58,9 @@ class Density:
 
 @dataclass(frozen=True)
 class PointSample:
-    """Points drawn from the binomial process, with their seed and stream."""
+    """Points drawn from the binomial process."""
 
     points: np.ndarray
-    seed: int
-    stream: tuple[int, ...] = ()
-
-    @property
-    def n(self) -> int:
-        return int(self.points.shape[0])
 
 
 def build_density(kind: str, eps1: float, eps2: float, k: int | None = None) -> Density:
@@ -162,4 +156,4 @@ def sample_binomial(d: Density, n: int, seed: int, stream: tuple[int, ...] = ())
         raise ValueError("n must be >= 0")
     rng = make_rng(seed, stream)
     pts = _draw_points(d, n, rng) if n > 0 else np.empty((0, 2), dtype=np.float64)
-    return PointSample(points=pts, seed=seed, stream=tuple(stream))
+    return PointSample(points=pts)

@@ -29,7 +29,8 @@ that scores every node.  Plus
 exact minimum-weight spanning paths up to 16 nodes (each solved by the
 dynamic program as a cycle through an extra node that costs 0 to reach
 from every node), the in/cross/out decomposition path, and the
-dense/sparse label-gap statistics.
+dense/sparse cell counts.  ``solve`` is the one place that maps a solver
+name, ``"exact"`` or one of ``HEURISTICS``, to these calls.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ FULL_WAVE_SLACK = 32
 # nodes), and the bookkeeping costs more than the scorings it saves
 CERTIFY_MIN_NODES = 96
 DENSE_CELL_MIN_NODES = 3  # a cell with fewer nodes is sparse
+HEURISTICS = ("grid_tour", "grid_tour+two_opt")
 
 
 @dataclass(frozen=True)
@@ -87,27 +89,11 @@ class SpanningPath:
 
 @dataclass(frozen=True)
 class GapStatistics:
-    """Dense/sparse cell labels of a tiling and their alpha-powered label-gap
-    sums; z_alpha is None when either class of cell is absent."""
+    """The number of dense cells (q) and of sparse cells (l, empty ones
+    included) of a tiling."""
 
-    dense_indices: tuple[int, ...]
-    sparse_indices: tuple[int, ...]
     q: int
     l: int
-    s_alpha: float
-    v_alpha: float
-    z_alpha: float | None
-
-
-@dataclass(frozen=True)
-class ApproxPathRecord:
-    """Decomposition bookkeeping for the in/cross/out spanning path."""
-
-    n_in: int
-    n_out: int
-    in_weight: float
-    cross_weight: float
-    out_weight: float
 
 
 def _int64_order(order) -> np.ndarray:
@@ -317,6 +303,14 @@ def min_weight_spanning_path(
         order = order[::-1]
     weight = float(np.sum(mat[order[:-1], order[1:]]))
     return SpanningPath(order=tuple(order), weight=weight, endpoints=(order[0], order[-1]))
+
+
+def _label_runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal values in a sorted array."""
+    first = np.ones(labels.size, dtype=bool)
+    first[1:] = labels[1:] != labels[:-1]
+    lo = np.flatnonzero(first)
+    return lo, np.diff(lo, append=labels.size)
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -892,10 +886,10 @@ def grid_tour(points, wf: WeightFunction, alpha: float, tiling: Tiling) -> Tour:
     labels = cell_index_array(tiling, pts)
     # stable, so any key type gives one order; 8- and 16-bit keys radix-sort
     by_cell = labels.astype(np.min_scalar_type(tiling.cell_count)).argsort(kind="stable")
-    size = np.bincount(labels)
-    occupied = size.nonzero()[0]
-    lo, size = (size.cumsum() - size)[occupied], size[occupied]
-    cells = np.arange(occupied.size)
+    # the occupied cells are the runs of equal labels in by_cell order: no
+    # array is sized by the cell count, which may far exceed n
+    lo, size = _label_runs(labels[by_cell])
+    cells = np.arange(lo.size)
     dense = size >= DENSE_CELL_MIN_NODES
     if np.count_nonzero(dense) >= 2 and np.count_nonzero(~dense) >= 2:
         path = _chain_path(pts, wf, alpha, by_cell, lo, size, [cells[dense], cells[~dense]])
@@ -907,6 +901,24 @@ def grid_tour(points, wf: WeightFunction, alpha: float, tiling: Tiling) -> Tour:
     return Tour(order=order, weight=_order_weight(pts, _int64_order(order), wf, alpha))
 
 
+def solve(points, wf: WeightFunction, alpha: float, solver: str,
+          tiling: Tiling | None = None) -> Tour:
+    """The tour that the named solver finds: ``"exact"`` is ``tsp_exact``;
+    the ``HEURISTICS`` build ``grid_tour`` over ``tiling``, and
+    ``"grid_tour+two_opt"`` polishes it with ``two_opt``.  Raises ValueError
+    for an unknown name, and for a heuristic given no tiling."""
+    if solver == "exact":
+        return tsp_exact(points, wf, alpha)
+    if solver not in HEURISTICS:
+        raise ValueError(f"solver must be 'exact' or one of {HEURISTICS}, got {solver!r}")
+    if tiling is None:
+        raise ValueError(f"solver {solver!r} needs a tiling")
+    tour = grid_tour(points, wf, alpha, tiling)
+    if solver == "grid_tour+two_opt":
+        tour = two_opt(points, tour, wf, alpha)
+    return tour
+
+
 def _distance_to_rect(pts: np.ndarray, rect: tuple[float, float, float, float]) -> np.ndarray:
     x0, x1, y0, y1 = rect
     dx = np.maximum(np.maximum(x0 - pts[:, 0], pts[:, 0] - x1), 0.0)
@@ -915,8 +927,9 @@ def _distance_to_rect(pts: np.ndarray, rect: tuple[float, float, float, float]) 
 
 
 def approx_tsp_path(points, wf: WeightFunction, alpha: float,
-                    tiling: Tiling) -> tuple[SpanningPath, ApproxPathRecord]:
-    """The in/cross/out decomposition path anchored at node 0.
+                    tiling: Tiling) -> tuple[SpanningPath, int]:
+    """The in/cross/out decomposition path anchored at node 0, and the
+    number of nodes on its inside part.
 
     Takes the half-size square concentric with node 0's cell, solves a
     minimum-weight spanning path on the nodes inside it (node 0 always
@@ -964,53 +977,15 @@ def approx_tsp_path(points, wf: WeightFunction, alpha: float,
     out_order = [int(outside[i]) for i in p_out.order]
 
     order = in_order + out_order
-    cross_w = float(edge_weight_pairs(wf, alpha, pts[in_order[-1]][None, :],
-                                      pts[v_close][None, :])[0])
     po = pts[np.asarray(order)]
     weight = float(np.sum(edge_weight_pairs(wf, alpha, po[:-1], po[1:])))
-    record = ApproxPathRecord(
-        n_in=int(inside.size),
-        n_out=int(outside.size),
-        in_weight=p_in.weight,
-        cross_weight=cross_w,
-        out_weight=p_out.weight,
-    )
     path = SpanningPath(order=tuple(order), weight=weight, endpoints=(order[0], order[-1]))
-    return path, record
+    return path, int(inside.size)
 
 
-def _gap_sum(indices: list[int], cell_count: int, alpha: float) -> float:
-    """Sum of alpha powers of the label gaps, extended to zero or one index."""
-    if not indices:
-        return float(cell_count - 1) ** alpha
-    gaps = [indices[0] - 1]
-    gaps.extend(b - a for a, b in zip(indices, indices[1:]))
-    gaps.append(cell_count - indices[-1])
-    return float(sum(float(g) ** alpha for g in gaps))
-
-
-def gap_statistics(points, tiling: Tiling, alpha: float) -> GapStatistics:
-    """Classify every cell dense (>= 3 nodes) or sparse (<= 2, empty
-    included) and compute the label-gap power sums for both classes plus the
-    end-pair mismatch term when both classes are present."""
-    check_alpha(alpha)
-    pts = as_coords(points)
-    labels = cell_index_array(tiling, pts)
-    counts = np.bincount(labels, minlength=tiling.cell_count + 1)
-    every_cell = range(1, tiling.cell_count + 1)
-    dense = [lab for lab in every_cell if counts[lab] >= DENSE_CELL_MIN_NODES]
-    sparse = [lab for lab in every_cell if counts[lab] < DENSE_CELL_MIN_NODES]
-    s_alpha = _gap_sum(dense, tiling.cell_count, alpha)
-    v_alpha = _gap_sum(sparse, tiling.cell_count, alpha)
-    z_alpha = None
-    if dense and sparse:
-        z_alpha = float(abs(dense[0] - sparse[0])) ** alpha + float(abs(dense[-1] - sparse[-1])) ** alpha
-    return GapStatistics(
-        dense_indices=tuple(dense),
-        sparse_indices=tuple(sparse),
-        q=len(dense),
-        l=len(sparse),
-        s_alpha=s_alpha,
-        v_alpha=v_alpha,
-        z_alpha=z_alpha,
-    )
+def gap_statistics(points, tiling: Tiling) -> GapStatistics:
+    """Count the tiling's dense cells (>= 3 nodes) and sparse cells (<= 2,
+    empty included)."""
+    labels = cell_index_array(tiling, as_coords(points))
+    q = int(np.count_nonzero(_label_runs(np.sort(labels))[1] >= DENSE_CELL_MIN_NODES))
+    return GapStatistics(q=q, l=tiling.cell_count - q)

@@ -251,13 +251,13 @@ def test_criterion_7_approx_path_bound():
         tiling = build_tiling(n, math.sqrt(n) / 2.0)
         attempt += 1
         try:
-            path, rec = approx_tsp_path(pts, wf, alpha, tiling)
+            path, n_in = approx_tsp_path(pts, wf, alpha, tiling)
         except ValueError:
             continue  # all nodes inside the center square: construction undefined
         closing = edge_weight(wf, alpha, pts[path.order[0]], pts[path.order[-1]])
         exact = tsp_exact(pts, wf, alpha)
         gap = abs(path.weight + closing - exact.weight)
-        cap = (2.0 * rec.n_in + 2.0) * (wf.c2 * ROOT2) ** alpha
+        cap = (2.0 * n_in + 2.0) * (wf.c2 * ROOT2) ** alpha
         worst_margin = max(worst_margin, gap - cap)
         checked += 1
     ok = worst_margin <= 1e-9

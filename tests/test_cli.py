@@ -167,7 +167,7 @@ def test_out_of_memory_exits_with_a_message(capsys, corners_file, monkeypatch):
     def no_memory(*args):
         raise MemoryError
 
-    monkeypatch.setattr("powertsp.cli.two_opt", no_memory)
+    monkeypatch.setattr("powertsp.solvers.two_opt", no_memory)
     code, out, err = run_cli(capsys, "tour", "--points", corners_file, "--weight", "euclidean",
                              "--alpha", "1", "--a", "1", "--two-opt")
     assert code == 1

@@ -157,6 +157,12 @@ def test_golden_json_decodes_back_to_the_same_bytes(kind):
     assert report_to_csv(report) == _read(f"{kind}.csv")
 
 
+@pytest.mark.parametrize("format", ["json", "csv"])
+def test_simulate_stdout_matches_golden(format):
+    argv = ["simulate", "sandwich", "--config", _golden("sandwich.config.json"), "--format", format]
+    assert _stdout(argv) == _read(f"sandwich.{format}")
+
+
 @pytest.mark.parametrize("name", sorted(BETA_CURVES))
 def test_beta_curve_matches_golden(name):
     assert _beta_curve(BETA_CURVES[name]) == _read(name)

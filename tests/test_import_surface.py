@@ -5,12 +5,15 @@ any other test."""
 import ast
 import importlib
 import inspect
+from collections import Counter
 from pathlib import Path
 
-from powertsp import experiments
+from powertsp import experiments, solvers
+from powertsp.cli import main
 from powertsp.experiments import (
     RUNNERS,
     ExperimentConfig,
+    SolverPolicy,
     run_sandwich,
     run_scaling,
     thread_count,
@@ -26,9 +29,34 @@ def test_benchmark_import_surface():
     assert set(RUNNERS) == {"scaling", "sandwich", "variance", "convergence", "uniform_ratio"}
     # bench/spans.py finds these by attribute name and dict value
     for name in ("run_scaling", "run_sandwich", "write_report", "sample_binomial",
-                 "build_tiling", "grid_tour", "two_opt", "tsp_exact"):
+                 "build_tiling"):
         assert callable(getattr(experiments, name))
     assert RUNNERS["scaling"] is run_scaling and RUNNERS["sandwich"] is run_sandwich
+
+
+def test_solver_calls_reach_the_traced_names(monkeypatch, capsys, tmp_path):
+    # bench/spans.py counts the solver calls by swapping wrappers into
+    # powertsp.solvers: every run and command must look its solvers up there
+    calls = Counter()
+    for name in ("grid_tour", "two_opt", "tsp_exact"):
+        def counted(*args, _real=getattr(solvers, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(solvers, name, counted)
+    run_scaling(ExperimentConfig(
+        weight={"kind": "euclidean"}, alpha=1.0, density={"kind": "uniform"},
+        n_list=(6, 12), trials=2, seed=1, a=1.0,
+        policy=SolverPolicy(exact_below=8, heuristic="grid_tour+two_opt")))
+    assert calls == {"tsp_exact": 2, "grid_tour": 2, "two_opt": 2}
+    points = tmp_path / "points.csv"
+    points.write_text("-0.3,-0.2\n0.1,0.4\n0.35,-0.1\n-0.25,0.3\n0.0,0.0\n")
+    calls.clear()
+    assert main(["solve", "--points", str(points)]) == 0
+    assert calls == {"tsp_exact": 1}
+    calls.clear()
+    assert main(["tour", "--points", str(points), "--two-opt"]) == 0
+    assert calls == {"grid_tour": 1, "two_opt": 1}
+    capsys.readouterr()
 
 
 def _traced_names():

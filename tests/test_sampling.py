@@ -66,9 +66,9 @@ def test_density_from_dict_roundtrip():
 def test_sample_binomial_empty_and_exact_count():
     d = build_density("uniform", 1.0, 1.0)
     s0 = sample_binomial(d, 0, seed=1)
-    assert s0.n == 0
+    assert len(s0.points) == 0
     s = sample_binomial(d, 137, seed=1)
-    assert s.n == 137
+    assert len(s.points) == 137
     assert np.all(s.points >= -0.5) and np.all(s.points <= 0.5)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from array import array
 from itertools import islice, permutations
@@ -8,11 +9,12 @@ import pytest
 
 from powertsp import solvers
 from powertsp.bounds import ModelParams, deviation_constants, p_dense
-from powertsp.geometry import build_tiling, cell_index_array
+from powertsp.geometry import build_tiling, cell_bounds, cell_index_array
 from powertsp.sampling import build_density, sample_binomial
 from powertsp.solvers import (
     CANDIDATE_K,
     EXACT_PATH_MAX_N,
+    HEURISTICS,
     Tour,
     _candidate_lists,
     _completion_table,
@@ -24,6 +26,7 @@ from powertsp.solvers import (
     gap_statistics,
     grid_tour,
     min_weight_spanning_path,
+    solve,
     tour_weight,
     tsp_bruteforce,
     tsp_exact,
@@ -447,6 +450,18 @@ def test_grid_tour_two_nodes():
     assert g.order == (0, 1)
     with pytest.raises(ValueError):
         grid_tour(pts[:1], EU, 1.0, build_tiling(1, 1.0))
+
+
+def test_tiny_cell_size_sizes_nothing_by_the_cell_count():
+    # about 5e12 cells for 5 points: an array per cell would not fit in memory
+    pts = random_points(5, seed=7)
+    tiling = build_tiling(5, 1e-6)
+    assert tiling.cell_count > 10**12
+    g = grid_tour(pts, EU, 1.0, tiling)
+    assert sorted(g.order) == list(range(5))
+    assert g.weight == pytest.approx(tour_weight(pts, g.order, EU, 1.0), rel=1e-12)
+    gs = gap_statistics(pts, tiling)
+    assert gs.q == 0 and gs.l == tiling.cell_count
 
 
 def test_grid_tour_upper_bound_small_sample():
@@ -904,6 +919,33 @@ def test_two_opt_ignores_a_wrong_cached_weight(bogus):
 
 
 # ---------------------------------------------------------------------------
+# the solver table
+# ---------------------------------------------------------------------------
+
+
+def test_solve_matches_the_direct_calls():
+    small = random_points(12, seed=1600)
+    assert solve(small, EU, 1.5, "exact") == tsp_exact(small, EU, 1.5)
+    pts = random_points(300, seed=1601)
+    tiling = build_tiling(300, 1.0)
+    g = grid_tour(pts, EU, 1.5, tiling)
+    polished = two_opt(pts, g, EU, 1.5)
+    assert polished.weight < g.weight
+    assert HEURISTICS == ("grid_tour", "grid_tour+two_opt")
+    assert solve(pts, EU, 1.5, "grid_tour", tiling) == g
+    assert solve(pts, EU, 1.5, "grid_tour+two_opt", tiling) == polished
+
+
+def test_solve_rejects_an_unknown_name_and_a_heuristic_without_a_tiling():
+    pts = random_points(6, seed=1602)
+    with pytest.raises(ValueError, match="solver must be 'exact' or one of"):
+        solve(pts, EU, 1.0, "two_opt", build_tiling(6, 1.0))
+    for name in HEURISTICS:
+        with pytest.raises(ValueError, match=f"solver '{re.escape(name)}' needs a tiling"):
+            solve(pts, EU, 1.0, name)
+
+
+# ---------------------------------------------------------------------------
 # spanning paths
 # ---------------------------------------------------------------------------
 
@@ -977,7 +1019,7 @@ def test_approx_path_bound_small_batch():
         trial += 1
         tiling = build_tiling(n, math.sqrt(n) / 2.0)  # 2x2 cells
         try:
-            path, rec = approx_tsp_path(pts, rm, 1.0, tiling)
+            path, n_in = approx_tsp_path(pts, rm, 1.0, tiling)
         except ValueError:
             continue  # everything fell inside the center square; not a test case
         checked += 1
@@ -985,18 +1027,23 @@ def test_approx_path_bound_small_batch():
         closing = edge_weight(rm, 1.0, pts[path.order[0]], pts[path.order[-1]])
         exact = tsp_exact(pts, rm, 1.0)
         gap = abs(path.weight + closing - exact.weight)
-        assert gap <= (2.0 * rec.n_in + 2.0) * (rm.c2 * ROOT2) ** 1.0 + 1e-9
-        assert rec.n_in + rec.n_out == n
-        assert path.weight == pytest.approx(rec.in_weight + rec.cross_weight + rec.out_weight, rel=1e-9)
+        assert gap <= (2.0 * n_in + 2.0) * (rm.c2 * ROOT2) ** 1.0 + 1e-9
+        assert path.weight == pytest.approx(tour_weight(pts, path.order, rm, 1.0) - closing, rel=1e-9)
+        # the nodes inside the half-size square around node 0's cell, node 0 included
+        x0, x1, y0, y1 = cell_bounds(tiling, int(cell_index_array(tiling, pts[:1])[0]))
+        quarter = 0.25 * (x1 - x0)
+        inside = np.max(np.abs(pts - [0.5 * (x0 + x1), 0.5 * (y0 + y1)]), axis=1) <= quarter
+        inside[0] = True
+        n_out = int(np.count_nonzero(~inside))
+        assert n_in == np.count_nonzero(inside) and n_in + n_out == n
 
 
 def test_approx_path_only_anchor_inside():
     # node 0 at the cell center, everyone else far outside the half-size square
     pts = [(0.05, 0.05), (0.45, 0.45), (-0.45, 0.4), (0.4, -0.45)]
     tiling = build_tiling(4, 2.0)  # single cell: center square is [-1/4, 1/4]^2
-    path, rec = approx_tsp_path(pts, EU, 1.0, tiling)
-    assert rec.n_in == 1
-    assert rec.in_weight == 0.0
+    path, n_in = approx_tsp_path(pts, EU, 1.0, tiling)
+    assert n_in == 1
     assert path.order[0] == 0
 
 
@@ -1029,7 +1076,7 @@ def _square_solvers(pts):
     cm = make_weight_function("coordinate_metric")
     return {
         "grid_tour": lambda: grid_tour(pts, cm, 1.0, tiling),
-        "gap_statistics": lambda: gap_statistics(pts, tiling, 1.0),
+        "gap_statistics": lambda: gap_statistics(pts, tiling),
         "two_opt": lambda: two_opt(pts, Tour(tuple(range(n)), 0.0), cm, 1.0),
         "approx_tsp_path": lambda: approx_tsp_path(pts, cm, 1.0, build_tiling(n, math.sqrt(n) / 3.0)),
     }
@@ -1104,22 +1151,15 @@ def test_gap_statistics_hand_example():
     # 2x2 tiling: 3 nodes in cell 1 (top-left), 1 node in cell 2
     pts = [(-0.3, 0.3), (-0.2, 0.2), (-0.4, 0.4), (-0.25, -0.25)]
     tiling = build_tiling(4, 1.0)
-    gs = gap_statistics(pts, tiling, 1.0)
-    assert gs.dense_indices == (1,)
-    assert gs.sparse_indices == (2, 3, 4)
+    gs = gap_statistics(pts, tiling)
     assert gs.q == 1 and gs.l == 3
-    assert gs.s_alpha == pytest.approx(3.0)  # (1-1) + (4-1)
-    assert gs.v_alpha == pytest.approx(3.0)  # 1 + 1 + 1 + 0
-    assert gs.z_alpha == pytest.approx(4.0)  # |1-2| + |1-4|
 
 
 def test_gap_statistics_no_dense_cell():
     pts = [(-0.3, 0.3), (0.3, -0.3)]
     tiling = build_tiling(4, 1.0)
-    gs = gap_statistics(pts, tiling, 1.0)
+    gs = gap_statistics(pts, tiling)
     assert gs.q == 0 and gs.l == 4
-    assert gs.s_alpha == pytest.approx(3.0)  # (cell_count - 1)^alpha
-    assert gs.z_alpha is None
 
 
 def test_gap_statistics_every_cell_dense():
@@ -1128,10 +1168,8 @@ def test_gap_statistics_every_cell_dense():
         for cy in (-0.25, 0.25):
             pts += [(cx, cy), (cx + 0.01, cy), (cx, cy + 0.01)]
     tiling = build_tiling(4, 1.0)
-    gs = gap_statistics(pts, tiling, 1.0)
+    gs = gap_statistics(pts, tiling)
     assert gs.q == 4 and gs.l == 0
-    assert gs.v_alpha == pytest.approx(3.0)  # extended definition, no sparse cell
-    assert gs.z_alpha is None
     assert gs.q + gs.l == tiling.cell_count
 
 
@@ -1144,7 +1182,7 @@ def test_dense_cell_share_matches_p_dense(n, a, dens):
     density = build_density("uniform", 1.0, 1.0) if dens == "uniform" else CHECKERBOARD
     tiling = build_tiling(n, a)
     assert tiling.cells_per_side % 4 == 0
-    share = np.mean([gap_statistics(sample_binomial(density, n, 7000, (trial,)).points, tiling, 1.0).q
+    share = np.mean([gap_statistics(sample_binomial(density, n, 7000, (trial,)).points, tiling).q
                      for trial in range(10)]) / tiling.cell_count
     a_eff = tiling.a_effective
     if dens == "uniform":
