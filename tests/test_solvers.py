@@ -1029,13 +1029,12 @@ def test_approx_path_bound_small_batch():
         gap = abs(path.weight + closing - exact.weight)
         assert gap <= (2.0 * n_in + 2.0) * (rm.c2 * ROOT2) ** 1.0 + 1e-9
         assert path.weight == pytest.approx(tour_weight(pts, path.order, rm, 1.0) - closing, rel=1e-9)
-        # the nodes inside the half-size square around node 0's cell, node 0 included
+        # the path visits the n_in inside nodes first (node 0 and the nodes in
+        # the half-size square concentric with its cell), then the n - n_in others
         x0, x1, y0, y1 = cell_bounds(tiling, int(cell_index_array(tiling, pts[:1])[0]))
-        quarter = 0.25 * (x1 - x0)
-        inside = np.max(np.abs(pts - [0.5 * (x0 + x1), 0.5 * (y0 + y1)]), axis=1) <= quarter
+        inside = np.max(np.abs(pts - [0.5 * (x0 + x1), 0.5 * (y0 + y1)]), axis=1) <= 0.25 * (x1 - x0)
         inside[0] = True
-        n_out = int(np.count_nonzero(~inside))
-        assert n_in == np.count_nonzero(inside) and n_in + n_out == n
+        assert inside[list(path.order)].tolist() == [True] * n_in + [False] * (n - n_in)
 
 
 def test_approx_path_only_anchor_inside():
