@@ -50,6 +50,10 @@ BETA_CURVES = {
     # the 128 grid points, so the scan passes over points it cannot evaluate
     "beta_curve_a_max_10.csv": ["--eps1", "1", "--eps2", "1", "--a-max", "10", *BETA_GRID,
                                 "--alpha-max", "3"],
+    # alpha past 8: C2 spans many orders of magnitude over the grid, and its
+    # moments are computed at exponents no default curve reaches
+    "beta_curve_alpha_past_8.csv": ["--eps1", "1", "--eps2", "1", *BETA_GRID, "--alpha-min", "8.5",
+                                    "--alpha-max", "12", "--alpha-step", "1.75"],
 }
 # the benchmark's reference curve: the default 512-point grid, read only
 BETA_REFERENCE = os.path.join(os.path.dirname(os.path.dirname(GOLDEN)), "bench", "beta_reference.csv")
