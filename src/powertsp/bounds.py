@@ -20,11 +20,12 @@ A^(alpha-2) is monotone.  So between two evaluated grid points A0 < A1,
 from moments already computed at the two ends.  The scan evaluates every
 ``_SCAN_STRIDE``-th grid point and the last, then splits at its midpoint
 every interval whose bound, shrunk by ``_C2_BOUND_MARGIN``, does not exceed
-the best value found so far; the others are dropped, and every point in
-them has a computed C2 strictly above the minimum.  A dropped point is
-counted as skipped only where it would be: it is evaluated unless it passes
-the dense-cell test and ``_finite_moment_floor`` certifies both of its
-moments finite.  The result is the full scan's, bit for bit.
+the best value found so far; the others are dropped unevaluated.  Both ends
+of a dropped interval are finite, so at a point inside it the power
+(2A)^alpha <= (2A1)^alpha and the division by A^2 >= A0^2 cannot fail:
+C2 there either raises SeriesConvergenceError, where a full scan skips the
+point too, or returns a value strictly above the minimum.  The argmin and
+its value are therefore the full scan's, bit for bit.
 """
 
 from __future__ import annotations
@@ -75,13 +76,6 @@ _SCAN_STRIDE = 32
 # adds about 1e-13, so computed C2 values and bounds are within 1e-8 of
 # the true ones, far inside 1e-6.
 _C2_BOUND_MARGIN = 1e-6
-# geometric_moment is certified finite by Lindelöf's expansion for alpha in
-# this range, where Gamma(1+alpha) t^-(alpha+1) < e^_EXPANSION_LOG_MAX
-_CERTIFIED_ALPHA_MIN = 2.0**-20
-_CERTIFIED_ALPHA_MAX = 8.0
-_EXPANSION_LOG_MAX = 700.0
-# s >= 1 - 1/e, that is t = -log(1-s) >= 1, where the series certifies
-_SERIES_ALWAYS_FROM = -math.expm1(-1.0)
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -122,7 +116,6 @@ class BetaResult:
 
     value: float
     arg_a: float
-    skipped_points: int = 0
 
 
 def p_dense(a: float, delta: float) -> float:
@@ -316,46 +309,6 @@ def _lindelof_moment(p: float, alpha: float, tol: float) -> float:
     raise fail(f"Lindelöf's expansion did not settle within {_EXPANSION_MAX_TERMS} terms")
 
 
-def _finite_moment_floor(alpha: float) -> float:
-    """The least s from which ``geometric_moment(s, alpha, tol)`` is certified
-    to return a finite value for every tol > 0, or inf where no s is.  With
-    K = _SERIES_CHUNK, q = 1 - s and t = -log q:
-
-    - The series branch is finite for alpha < 84.24: each of its K terms is
-      at most K^alpha, so the sum is below K^(alpha+1) < e^709 while
-      (alpha+1) log K < 709, the complement of ``geometric_moment``'s
-      overflow guard.
-    - Where s >= 1 - 1/e (t >= 1) and alpha < 84.24 the series serves.  Its
-      ratio rho = ((K+1)/K)^alpha q is at most e^(alpha/K - 1) < e^-0.979,
-      so the log tail that ``_series_certifies`` compares with log tol is
-      at most log s + alpha log(K+1) - K t - log(1 - rho)
-      <= alpha log 4097 - 4096 + 0.47 < -3394, below the log of every
-      positive float.
-    - Where s < 1 - 1/e (t < 1) either branch may serve, and for alpha in
-      [_CERTIFIED_ALPHA_MIN, _CERTIFIED_ALPHA_MAX] = [2^-20, 8] Lindelöf's
-      expansion is finite and settles, once
-      (alpha+1) log(1/t) + lgamma(1+alpha) <= 700; as t >= s, s at or
-      above the floor returned ensures that.  In ``_lindelof_moment``'s terms:
-      the leading term G = Gamma(1+alpha) t^-(alpha+1) is below e^700; the
-      k = 0 term is at most |sin(pi alpha/2)| zeta(1+alpha) a_0 <= pi a_0
-      <= 1 (zeta(1+x) <= 1 + 1/x, which the bound on alpha keeps finite),
-      and sum_k |a_k| = 2 Gamma(1+alpha) / (2 pi - t)^(1+alpha) <= 0.38, so
-      with zeta(2+alpha) < 1.65 the other terms add at most 0.63.  Every
-      partial value is then at most (s/q)(G + 2) < (e - 1)(e^700 + 2),
-      finite.  At k = 63, |a_64| <= 2 * 72! / (64! (2 pi)^73) < 5.3e-44 (its
-      largest, at alpha = 8) and the next ratio is below 73/65/(2 pi) < 0.18,
-      so the remainder is below (s/q) 6.5e-44.  The full sum is
-      (q/s) E T^alpha >= q/s > 1/(e-1) > 0.58, and the computed partial sum
-      is within 1e-12 (G + 2) of it, the tail and rounding included, so |value| > (s/q) / 2 and the stopping test
-      remainder < 2^-53 |value| holds by k = 63, within the 64 terms.
-    """
-    if (alpha + 1.0) * _LOG_CHUNK >= _EXP_OVERFLOW_ABOVE:
-        return math.inf
-    if _CERTIFIED_ALPHA_MIN <= alpha <= _CERTIFIED_ALPHA_MAX:
-        return math.exp(-(_EXPANSION_LOG_MAX - math.lgamma(1.0 + alpha)) / (alpha + 1.0))
-    return _SERIES_ALWAYS_FROM
-
-
 def geometric_moment_factorial_bound(p: float, r: int) -> float:
     """Closed-form dominator r! / (1 - e^{-p})^r of the r-th geometric moment."""
     if not (0.0 < p < 1.0):
@@ -391,17 +344,11 @@ def _c2_formula(a: float, alpha: float, delta: float, c2: float, tol: float,
 
 
 def _c2_scan(alpha: float, delta: float, tol: float):
-    """C2(A) at c2 = 1 with its interval bound and certificate, as
-    ``_optimize`` takes them.  The bound reads the moments the objective
-    recorded at the two ends; it is the module docstring's, through
-    2^alpha A^(alpha-2) = (2A)^alpha / A^2, shrunk by ``_C2_BOUND_MARGIN``.
-    The certificate clears A where p lies in (0, 1) and neither moment lies
-    below ``_finite_moment_floor``.  A cleared point inside an interval with
-    evaluated ends cannot raise in the power or the division either: both
-    are computed at the interval's ends, and (2A)^alpha <= (2 A1)^alpha and
-    A^2 >= A0^2 there."""
+    """C2(A) at c2 = 1 with its interval bound, as ``_optimize`` takes them.
+    The bound reads the moments the objective recorded at the two ends; it
+    is the module docstring's, through 2^alpha A^(alpha-2) = (2A)^alpha / A^2,
+    shrunk by ``_C2_BOUND_MARGIN``."""
     moments: dict[float, tuple[float, float]] = {}
-    floor = _finite_moment_floor(alpha)
 
     def c2(a: float) -> float:
         return _c2_formula(a, alpha, delta, 1.0, tol, moments)
@@ -411,11 +358,7 @@ def _c2_scan(alpha: float, delta: float, tol: float):
         lb = pow0 + min(pow0 / (a0 * a0), pow1 / (a1 * a1)) * (moments[a1][0] + moments[a0][1])
         return lb * (1.0 - _C2_BOUND_MARGIN)
 
-    def certified(a: float) -> bool:
-        p, q = _dense_split(delta * a * a)
-        return 0.0 < p < 1.0 and p >= floor and (q == 1.0 or q >= floor)
-
-    return c2, bound, certified
+    return c2, bound
 
 
 def deviation_constants(mp: ModelParams, a: float, tol: float = 1e-9) -> tuple[float, float]:
@@ -447,38 +390,35 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return xm, f(xm)
 
 
-def _optimize(f, a_max: float, grid_points: int, refine_tol: float, bound=None, certified=None):
+def _optimize(f, a_max: float, grid_points: int, refine_tol: float, bound=None):
     """Minimize f over (0, a_max]: a grid scan plus golden-section refinement
-    around the best grid point.  Returns (argmin, min, skipped), where
-    skipped counts the grid points at which f raises SeriesConvergenceError
-    (they sit far from the optimum by construction).
+    around the best grid point.  Returns (argmin, min).  A grid point at
+    which f raises SeriesConvergenceError is left out of the scan (such
+    points sit far from the optimum by construction).
 
     Without ``bound`` every grid point is evaluated.  With it the scan
     evaluates every ``_SCAN_STRIDE``-th grid point and the last, then takes
     the open intervals between evaluated points in increasing order of
-    ``bound(a0, a1)``, a lower bound on every computed f over [a0, a1] once
-    f has returned finite values at both ends (an end that did not gives
-    no bound).  It splits an interval at its midpoint while its bound does
-    not exceed the best value found; once the least bound left does, every
-    point left lies strictly above the minimum and is dropped.  A dropped
-    point is still evaluated unless ``certified(a)`` says that f does not
-    raise there, so the argmin, its value (first-index ties included) and
-    the skip count are the full scan's."""
+    ``bound(a0, a1)``.  Once f has returned finite values at both ends (an
+    end that did not gives no bound), f over [a0, a1] must either return
+    at least that bound or raise SeriesConvergenceError.  The scan splits
+    an interval at its midpoint while its bound does not exceed the best
+    value found; once the least bound left does, every point left is
+    dropped unevaluated, so the argmin and its value (first-index ties
+    included) are the full scan's."""
     if grid_points < 3:
         raise ValueError("need at least 3 grid points")
     grid = np.linspace(a_max / grid_points, a_max, grid_points).tolist()
     vals = [math.inf] * grid_points
-    skipped = 0
     least = math.inf
 
     def evaluate(i: int) -> None:
-        nonlocal skipped, least
+        nonlocal least
         try:
             vals[i] = f(grid[i])
         except SeriesConvergenceError:
-            skipped += 1
-        else:
-            least = min(least, vals[i])
+            return  # left at inf, as a full scan leaves it
+        least = min(least, vals[i])
 
     def interval(i: int, j: int) -> tuple[float, int, int]:
         ends_ok = math.isfinite(vals[i]) and math.isfinite(vals[j])
@@ -497,10 +437,6 @@ def _optimize(f, a_max: float, grid_points: int, refine_tol: float, bound=None, 
         for lo, hi in ((i, m), (m, j)):
             if hi - lo > 1:
                 heapq.heappush(heap, interval(lo, hi))
-    for _, i, j in heap:
-        for k in range(i + 1, j):
-            if not certified(grid[k]):
-                evaluate(k)
     if not any(map(math.isfinite, vals)):
         raise ValueError("objective could not be evaluated anywhere on the search grid")
     best = int(np.argmin(vals))
@@ -511,7 +447,7 @@ def _optimize(f, a_max: float, grid_points: int, refine_tol: float, bound=None, 
     arg, val = _golden_section(f, lo, hi, refine_tol)
     if vals[best] < val:  # grid point was already better than the refined midpoint
         arg, val = grid[best], vals[best]
-    return float(arg), float(val), skipped
+    return float(arg), float(val)
 
 
 def beta_bounds(
@@ -526,12 +462,10 @@ def beta_bounds(
 
     beta_low maximizes C1(A) and beta_up minimizes C2(A), both with unit
     weight constants c1 = c2 = 1, over A in (0, a_max]; C2's moments are
-    taken to 1e-9.  C1 is closed-form and scanned at every grid point.
-    C2's scan is bounded (module docstring): an interval between evaluated
-    points is dropped once its monotone lower bound, shrunk by the margin
-    1e-6, exceeds the best value found, and a dropped point is evaluated
-    all the same unless its moments are certified finite, so both results
-    equal a full scan's bit for bit, skipped_points included.
+    taken to 1e-9, and grid points where they cannot be computed are left
+    out.  C1 is closed-form and scanned at every grid point; C2's scan is
+    bounded (module docstring) and returns the full scan's result bit for
+    bit.
     """
     if not (0.0 < alpha < math.inf and 0.0 < a_max < math.inf):
         raise ValueError("alpha and a_max must be positive and finite")
@@ -539,13 +473,11 @@ def beta_bounds(
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
     # rejects bad bounds before scanning
     delta = ModelParams(eps1=eps1, eps2=eps2, alpha=alpha).delta
-    arg_lo, neg_lo, sk_lo = _optimize(
+    arg_lo, neg_lo = _optimize(
         lambda a: -_c1_formula(a, alpha, eps1, eps2, 1.0), a_max, grid_points, refine_tol)
-    c2, bound, certified = _c2_scan(alpha, delta, 1e-9)
-    arg_up, val_up, sk_up = _optimize(c2, a_max, grid_points, refine_tol, bound, certified)
-    low = BetaResult(value=-neg_lo, arg_a=arg_lo, skipped_points=sk_lo)
-    up = BetaResult(value=val_up, arg_a=arg_up, skipped_points=sk_up)
-    return low, up
+    c2, bound = _c2_scan(alpha, delta, 1e-9)
+    arg_up, val_up = _optimize(c2, a_max, grid_points, refine_tol, bound)
+    return BetaResult(-neg_lo, arg_lo), BetaResult(val_up, arg_up)
 
 
 def chernoff_tail(m: int, mu: float, eps: float) -> float:

@@ -19,6 +19,8 @@ HALF = 0.5
 
 # relative slack when deciding whether sqrt(n)/a already hits an integer
 _RATIO_EPS = 1e-9
+# the most cells per side whose labels, up to k^2, fit in int64
+_MAX_CELLS_PER_SIDE = math.isqrt(2**63 - 1)
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,8 @@ def build_tiling(n: int, a: float) -> Tiling:
 
     Picks the smallest a_effective >= a with sqrt(n)/a_effective integral,
     i.e. cells_per_side = floor(sqrt(n)/a).  Rejects a > sqrt(n), which
-    would leave no cell at all.
+    would leave no cell at all, and an a so small that the k^2 cell labels
+    would overflow int64.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -70,6 +73,10 @@ def build_tiling(n: int, a: float) -> Tiling:
     ratio = root_n / a
     if ratio < 1.0 - _RATIO_EPS:
         raise ValueError(f"a={a} exceeds sqrt(n)={root_n:.6g}: tiling would have zero cells")
+    if ratio + _RATIO_EPS >= _MAX_CELLS_PER_SIDE + 1:
+        raise ValueError(
+            f"a={a} is too small for n={n}: sqrt(n)/a = {ratio:.10g} cells per side exceeds "
+            f"{_MAX_CELLS_PER_SIDE}, past which the int64 cell labels overflow")
     k = int(math.floor(ratio + _RATIO_EPS))
     a_eff = root_n / k
     window = (1.0 / math.log(n)) if n >= 2 else math.inf

@@ -169,10 +169,6 @@ class EquivalenceReport:
     passed: bool
     violations: list[dict]
 
-    def summary(self) -> str:
-        status = "pass" if self.passed else f"fail ({len(self.violations)} violations)"
-        return f"verify_equivalence[{self.kind}] over {self.samples} samples: {status}"
-
 
 def verify_equivalence(wf: WeightFunction, sample_count: int, seed: int = 0) -> EquivalenceReport:
     """Monte Carlo check of the declared constants: c1*d <= h <= c2*d,

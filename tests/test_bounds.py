@@ -311,7 +311,7 @@ def test_caches_do_not_change_beta_bounds():
     # the same bits as a warm one.  alpha = 0.25 and 1.75 take the expansion
     # at small A and the series elsewhere
     def bits(results):
-        return [(r.value.hex(), r.arg_a.hex(), r.skipped_points) for r in results]
+        return [(r.value.hex(), r.arg_a.hex()) for r in results]
 
     for alpha in (0.25, 1.75):
         bounds._alpha_log_ks.cache_clear()
@@ -478,8 +478,9 @@ def test_beta_low_below_beta_up():
 def test_beta_bounds_skip_a_where_the_dense_probability_rounds_to_one():
     # past A ~ 6.5 (delta = 1) p_dense rounds to 1 and C2's series cannot
     # converge; the scan skips those points and keeps the optimum near 1.67
+    with pytest.raises(SeriesConvergenceError):
+        bounds._c2_formula(10.0, 1.0, 1.0, 1.0, 1e-9)
     low, up = beta_bounds(1.0, 1.0, 1.0, a_max=10.0)
-    assert up.skipped_points > 0
     assert up.arg_a == pytest.approx(1.67, abs=0.05)
     assert up.value == pytest.approx(8.15, abs=0.05)
     assert low.value == pytest.approx(0.147, abs=0.002)
@@ -487,10 +488,12 @@ def test_beta_bounds_skip_a_where_the_dense_probability_rounds_to_one():
 
 def test_beta_bounds_default_scan_skips_nothing():
     # with the expansion every default grid point has a C2
+    grid = np.linspace(5.0 / 512, 5.0, 512).tolist()
     for eps1, eps2 in ((1.0, 1.0), (0.5, 1.5)):
-        for alpha in np.arange(0.25, 2.0 + 1e-12, 0.25):
-            low, up = beta_bounds(float(alpha), eps1, eps2)
-            assert low.skipped_points == 0 and up.skipped_points == 0
+        for alpha in np.arange(0.25, 2.0 + 1e-12, 0.25).tolist():
+            delta = ModelParams(eps1=eps1, eps2=eps2, alpha=alpha).delta
+            for a in grid:
+                assert math.isfinite(bounds._c2_formula(a, alpha, delta, 1.0, 1e-9)), (alpha, a)
 
 
 def test_beta_bounds_validation():
@@ -536,16 +539,16 @@ def full_scan(f, a_max, grid_points, refine_tol):
 
 
 SWEEP_EPS = ((1.0, 1.0), (0.5, 1.5), (0.2, 1.8))
-SWEEP_ALPHAS = tuple(0.25 * i for i in range(1, 17)) + (5.0, 10.0)
+SWEEP_ALPHAS = tuple(0.25 * i for i in range(1, 17)) + (5.0, 8.5, 10.0, 12.0)
 SWEEP_GRIDS = ((5.0, 512), (10.0, 512), (5.0, 128), (2.0, 64))
 
 
 def test_bounded_scan_matches_the_full_scan():
-    # 216 scans across the delta branch, small and large alpha (10 is past
-    # the expansion's certificate), grids that skip points (a_max = 10) and
-    # coarse grids, compared in every bit with the exhaustive scan
-    def bits(arg, val, skipped):
-        return arg.hex(), val.hex(), skipped
+    # 240 scans across the delta branch, small and large alpha (up to 12),
+    # grids where C2 raises (a_max = 10) and coarse grids, compared in
+    # every bit with the exhaustive scan
+    def bits(arg, val):
+        return arg.hex(), val.hex()
 
     skipping = 0
     for eps1, eps2 in SWEEP_EPS:
@@ -553,62 +556,37 @@ def test_bounded_scan_matches_the_full_scan():
             delta = ModelParams(eps1=eps1, eps2=eps2, alpha=alpha).delta
             for a_max, points in SWEEP_GRIDS:
                 low, up = beta_bounds(alpha, eps1, eps2, a_max=a_max, grid_points=points)
-                arg, neg, skipped = full_scan(
+                arg, neg, _ = full_scan(
                     lambda a: -bounds._c1_formula(a, alpha, eps1, eps2, 1.0), a_max, points, 1e-10)
-                assert bits(low.arg_a, low.value, low.skipped_points) == bits(arg, -neg, skipped)
-                ref = full_scan(
+                assert bits(low.arg_a, low.value) == bits(arg, -neg)
+                arg, val, skipped = full_scan(
                     lambda a: bounds._c2_formula(a, alpha, delta, 1.0, 1e-9), a_max, points, 1e-10)
-                assert bits(up.arg_a, up.value, up.skipped_points) == bits(*ref)
-                skipping += up.skipped_points > 0
+                assert bits(up.arg_a, up.value) == bits(arg, val)
+                skipping += skipped > 0
     assert skipping >= 50
 
 
-def test_finite_moment_floor_certifies_finite_moments():
-    # every (s, alpha) the certificate clears has a finite moment: the
-    # expansion's range up to alpha = 8, t = 1 where the series takes over,
-    # the floor itself, and the series alone up to the overflow guard
-    guard = bounds._EXP_OVERFLOW_ABOVE / bounds._LOG_CHUNK - 1.0
-    below_guard = guard
-    while (below_guard + 1.0) * bounds._LOG_CHUNK >= bounds._EXP_OVERFLOW_ABOVE:
-        below_guard = math.nextafter(below_guard, 0.0)
-    assert 84.23 < below_guard < 84.24
-    assert bounds._finite_moment_floor(math.nextafter(below_guard, 100.0)) == math.inf
-    t1 = -math.expm1(-1.0)  # s where t = -log(1 - s) = 1
-    alphas = [2.0**-20, 1e-3, 0.25, 0.5, 1.0, 1.7, 2.5, 4.0, 6.0, math.nextafter(8.0, 0.0), 8.0,
-              math.nextafter(8.0, 9.0), 10.0, 30.0, 60.0, below_guard]
+def test_geometric_moment_finite_near_the_edges_of_float_range():
+    # from s = 1 - 1/e on, where t = -log(1 - s) >= 1, the series serves
+    # and is finite until its terms can overflow (alpha = 84.24); at
+    # alpha = 8 Lindelöf's leading term Gamma(9) t^-9 is finite at
+    # s = 1e-33 and overflows at s = 1e-34
     checked = 0
-    for alpha in alphas:
-        floor = bounds._finite_moment_floor(alpha)
-        assert floor <= t1
-        if 2.0**-20 <= alpha <= 8.0:
-            assert floor < 1e-30
-        else:
-            assert floor == t1
-        ss = [floor, math.nextafter(floor, 1.0), t1, math.nextafter(t1, 0.0), math.nextafter(t1, 1.0),
-              *np.geomspace(floor, 1.0 - 2.0**-53, 60).tolist(), 1.0 - 2.0**-53]
-        for s in ss:
-            if floor <= s < 1.0:
-                assert math.isfinite(geometric_moment(s, alpha)), (s, alpha)
-                checked += 1
-    assert checked > 900
-
-
-def test_finite_moment_floor_lies_near_the_expansion_overflow():
-    # at alpha = 8 the expansion's leading term Gamma(9) t^-9 overflows from
-    # t ~ 1.8e-34 down, a factor 3 below the floor: the certificate is sound
-    # and not vacuous
-    floor = bounds._finite_moment_floor(8.0)
-    assert 3e-34 < floor < 1e-33
-    assert math.isfinite(geometric_moment(floor, 8.0))
+    for alpha in (2.0**-20, 0.25, 1.0, 8.0, 10.0, 30.0, 60.0, 84.23):
+        for s in [0.6321205588285577, *(1.0 - np.geomspace(0.36787944117144233, 2.0**-53, 40))]:
+            assert math.isfinite(geometric_moment(float(s), alpha)), (s, alpha)
+            checked += 1
+    assert checked == 328
+    assert math.isfinite(geometric_moment(1e-33, 8.0))
     with pytest.raises(SeriesConvergenceError):
-        geometric_moment(floor / 10.0, 8.0)
+        geometric_moment(1e-34, 8.0)
 
 
-def test_bounded_scan_evaluates_dropped_points_it_cannot_certify():
+def test_bounded_scan_never_evaluates_a_dropped_point():
     # a parabola that raises on a band of grid points (i + 1) / 512,
     # i = 165..185, between the first pass's points 160 and 192 and far
-    # from its minimum: the band is dropped, so its points count as skipped
-    # only because the certificate leaves them out
+    # from its minimum: the band is dropped, none of its points is
+    # evaluated, and the result is still the full scan's
     band = (0.324, 0.364)
     calls = []
 
@@ -621,32 +599,17 @@ def test_bounded_scan_evaluates_dropped_points_it_cannot_certify():
     def bound(a0, a1):
         return min((a - 0.7) ** 2 for a in (a0, a1, min(max(0.7, a0), a1))) + 1.0
 
-    def certified(a):
-        return not band[0] <= a <= band[1]
-
-    bounded = bounds._optimize(f, 1.0, 512, 1e-10, bound, certified)
-    scanned = len(calls)
-    reference = full_scan(f, 1.0, 512, 1e-10)
-    assert bounded == reference and reference[2] == 21
-    assert scanned < 128
+    bounded = bounds._optimize(f, 1.0, 512, 1e-10, bound)
+    assert not any(band[0] <= a <= band[1] for a in calls)
+    assert len(calls) < 128
+    arg, val, skipped = full_scan(f, 1.0, 512, 1e-10)
+    assert bounded == (arg, val) and skipped == 21
 
 
-def test_c2_certificate():
-    # it clears points of a typical scan, never one whose dense-cell
-    # probability rounds to 1, and nothing past alpha = 8, where no s
-    # certifies both moments
-    _, _, certified = bounds._c2_scan(1.0, 1.0, 1e-9)
-    assert all(certified(a) for a in np.linspace(5.0 / 512, 5.0, 512).tolist())
-    assert not certified(10.0)
-    for alpha in (10.0, 100.0):
-        _, _, certified = bounds._c2_scan(alpha, 1.0, 1e-9)
-        assert not any(certified(a) for a in np.linspace(0.01, 5.0, 200).tolist())
-
-
-def test_default_curve_evaluates_few_grid_points(monkeypatch):
-    # the bounded scan evaluates C2 at no more than a quarter of the default
-    # 512 grid points per alpha; an evaluated point is one whose dense-cell
-    # probability reaches geometric_moment
+def grid_points_reached(monkeypatch, alpha):
+    """How many of the default 512 grid points beta_bounds(alpha, 1, 1)
+    evaluates C2 at, and its geometric_moment calls in all.  An evaluated
+    point is one whose dense-cell probability reaches geometric_moment."""
     seen = []
     real = bounds.geometric_moment
 
@@ -655,15 +618,28 @@ def test_default_curve_evaluates_few_grid_points(monkeypatch):
         return real(p, alpha, tol)
 
     monkeypatch.setattr(bounds, "geometric_moment", recording)
+    beta_bounds(alpha, 1.0, 1.0)
+    monkeypatch.undo()
     grid = np.linspace(5.0 / 512, 5.0, 512).tolist()
-    ps = {bounds._dense_split(a * a)[0] for a in grid}
+    return len({bounds._dense_split(a * a)[0] for a in grid}.intersection(seen)), len(seen)
+
+
+def test_default_curve_evaluates_few_grid_points(monkeypatch):
+    # the bounded scan evaluates C2 at no more than a quarter of the default
+    # 512 grid points per alpha
     total = 0
     for alpha in np.arange(0.25, 2.0 + 1e-12, 0.25).tolist():
-        seen.clear()
-        beta_bounds(alpha, 1.0, 1.0)
-        total += len(seen)
-        assert 17 <= len(ps.intersection(seen)) <= 128, alpha
+        points, calls = grid_points_reached(monkeypatch, alpha)
+        assert 17 <= points <= 128, alpha
+        total += calls
     assert total <= 2000
+
+
+def test_curves_past_alpha_8_evaluate_few_grid_points(monkeypatch):
+    # past alpha = 8 too no dropped grid point is evaluated
+    for alpha in (8.5, 10.0, 12.0):
+        points, _ = grid_points_reached(monkeypatch, alpha)
+        assert 17 <= points <= 128, alpha
 
 
 # ---------------------------------------------------------------------------

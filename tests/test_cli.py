@@ -243,6 +243,9 @@ def run_cli_process(*argv):
     (["beta", "--curve", "--a-max", "-1"], "alpha and a_max must be positive and finite"),
     (["verify", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
     (["verify", "--max-n", "40"], "max_n must be <= 16, the largest instance any property draws, got 40"),
+    # 18 points: sqrt(18) / 1e-10 cells per side, whose labels would wrap in int64
+    (["tour", "--points", os.path.join(os.path.dirname(__file__), "golden", "cli_points.csv"),
+      "--a", "1e-10"], "a=1e-10 is too small for n=18"),
 ])
 def test_bad_numbers_fail_at_the_boundary(argv, message):
     proc = run_cli_process(*argv)

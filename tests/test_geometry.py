@@ -50,6 +50,12 @@ def test_build_tiling_rejects_oversized_a():
     for a in (math.nan, math.inf):
         with pytest.raises(ValueError, match="a must be positive and finite"):
             build_tiling(16, a)
+    # k^2 serpentine labels fit in int64 up to k = isqrt(2^63 - 1)
+    k_max = 3_037_000_499
+    assert build_tiling(1, 1.0 / k_max).cells_per_side == k_max
+    for n, a in ((1, 1.0 / (k_max + 1)), (5, 1e-10), (5, 1e-320)):
+        with pytest.raises(ValueError, match=f"a={a} is too small for n={n}"):
+            build_tiling(n, a)
 
 
 def test_tiling_partitions_unit_side():
