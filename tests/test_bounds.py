@@ -566,17 +566,20 @@ def test_bounded_scan_matches_the_full_scan():
     assert skipping >= 50
 
 
-def test_geometric_moment_finite_near_the_edges_of_float_range():
-    # from s = 1 - 1/e on, where t = -log(1 - s) >= 1, the series serves
-    # and is finite until its terms can overflow (alpha = 84.24); at
-    # alpha = 8 Lindelöf's leading term Gamma(9) t^-9 is finite at
-    # s = 1e-33 and overflows at s = 1e-34
+def test_finite_moment_floor_certifies_finite_moments():
+    # from the floor s = 1 - 1/e on, where t = -log(1 - s) >= 1, the series
+    # serves and is finite until its terms can overflow (alpha = 84.24)
     checked = 0
     for alpha in (2.0**-20, 0.25, 1.0, 8.0, 10.0, 30.0, 60.0, 84.23):
         for s in [0.6321205588285577, *(1.0 - np.geomspace(0.36787944117144233, 2.0**-53, 40))]:
             assert math.isfinite(geometric_moment(float(s), alpha)), (s, alpha)
             checked += 1
     assert checked == 328
+
+
+def test_finite_moment_floor_lies_near_the_expansion_overflow():
+    # at alpha = 8 Lindelöf's leading term Gamma(9) t^-9 is finite at
+    # s = 1e-33 and overflows at s = 1e-34
     assert math.isfinite(geometric_moment(1e-33, 8.0))
     with pytest.raises(SeriesConvergenceError):
         geometric_moment(1e-34, 8.0)
