@@ -453,6 +453,16 @@ _PAIR_PENALTY = np.where((_PAIR_SIDE == 0)[:, None, None, None],
 _SIDE_STEP = np.array([1, -1]).reshape(2, 1, 1)  # e = succ c, then pred c
 
 
+def _span(n: int, lo: int, length: int) -> tuple[slice | np.ndarray, np.ndarray]:
+    """The tour positions lo, lo + 1, ... (mod n) of a path of ``length``
+    entries, as a key that indexes them and as an array: the key is a slice
+    unless the path wraps past position 0."""
+    if lo + length <= n:
+        return slice(lo, lo + length), np.arange(lo, lo + length)
+    idx = (lo + np.arange(length)) % n
+    return idx, idx
+
+
 def _reverse_path(t: np.ndarray, pos: np.ndarray, i: int, j: int, par: np.ndarray | None) -> None:
     """Reverse the tour positions i..j (cyclic, forward), or the complementary
     path when that is shorter: both leave the same cycle.  ``par``, unless
@@ -461,9 +471,9 @@ def _reverse_path(t: np.ndarray, pos: np.ndarray, i: int, j: int, par: np.ndarra
     length = (j - i) % n + 1
     if 2 * length > n:
         i, length = j + 1, n - length
-    idx = (i + np.arange(length)) % n
-    moved = t[idx[::-1]]
-    t[idx] = moved
+    key, idx = _span(n, i % n, length)
+    t[key] = t[key][::-1]  # numpy copies an overlapping right-hand side first
+    moved = t[key]
     pos[moved] = idx
     if par is not None:
         par[moved] ^= True
@@ -480,13 +490,13 @@ def _move_segment(t: np.ndarray, pos: np.ndarray, path: list[int], c: int, e: in
     ends = sorted((int(pos[path[0]]), int(pos[path[-1]])))
     i = ends[0] if ends[1] - ends[0] == seg - 1 else ends[1]  # else it wraps past 0
     between = (int(pos[u]) - i - seg) % n + 1  # from the segment's end to u
-    if between <= n - seg - between:
-        idx = (i + np.arange(between + seg)) % n
-        new = np.concatenate((t[idx[seg:]], x))
-    else:
-        idx = (pos[u] + 1 + np.arange(n - between)) % n
-        new = np.concatenate((x, t[idx[:n - seg - between]]))
-    t[idx] = new
+    if between <= n - seg - between:  # the segment, then the path up to u
+        key, idx = _span(n, i, between + seg)
+        new = np.concatenate((t[key][seg:], x))
+    else:  # the path after u, then the segment
+        key, idx = _span(n, (int(pos[u]) + 1) % n, n - between)
+        new = np.concatenate((x, t[key][:-seg]))
+    t[key] = new
     pos[new] = idx
 
 

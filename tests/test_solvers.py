@@ -811,6 +811,77 @@ def test_two_opt_no_heavier_than_dense_reference():
     assert np.mean(ours) <= np.mean(dense)
 
 
+def _gather_reverse_path(t, pos, i, j, par):
+    """_reverse_path as one gather and one scatter over every position it
+    rewrites; returns whether those wrap past position 0."""
+    n = t.size
+    length = (j - i) % n + 1
+    if 2 * length > n:
+        i, length = j + 1, n - length
+    idx = (i + np.arange(length)) % n
+    moved = t[idx[::-1]]
+    t[idx] = moved
+    pos[moved] = idx
+    par[moved] ^= True
+    return bool((np.diff(idx) < 0).any())
+
+
+def _gather_move_segment(t, pos, path, c, e):
+    """_move_segment as one gather and one scatter; returns which side of
+    the cycle it rewrote and whether that wraps past position 0."""
+    n, seg = t.size, len(path)
+    if t[(pos[c] + 1) % n] == e:
+        u, x = c, path
+    else:
+        u, x = e, path[::-1]
+    ends = sorted((int(pos[path[0]]), int(pos[path[-1]])))
+    i = ends[0] if ends[1] - ends[0] == seg - 1 else ends[1]
+    between = (int(pos[u]) - i - seg) % n + 1
+    front = between <= n - seg - between
+    if front:
+        idx = (i + np.arange(between + seg)) % n
+        new = np.concatenate((t[idx[seg:]], x))
+    else:
+        idx = (pos[u] + 1 + np.arange(n - between)) % n
+        new = np.concatenate((x, t[idx[:n - seg - between]]))
+    t[idx] = new
+    pos[new] = idx
+    return front, bool((np.diff(idx) < 0).any())
+
+
+def test_movers_match_their_gather_form():
+    # the slice form of each mover leaves t, pos and par as the gather form
+    # does, on ranges that wrap past position 0 and ranges that do not, and
+    # on both sides of the cycle a segment move can rewrite
+    rng = np.random.default_rng(18)
+    seen = set()
+    for n in (4, 5, 6, 7, 8, 13, 40):
+        for _ in range(300):
+            t = rng.permutation(n)
+            pos = np.argsort(t)
+            par = rng.random(n) < 0.5
+            ref = [t.copy(), pos.copy(), par.copy()]
+            i, j = rng.integers(n, size=2).tolist()
+            seen.add(("reverse", _gather_reverse_path(*ref[:2], i, j, ref[2])))
+            solvers._reverse_path(t, pos, i, j, par)
+            assert [t.tolist(), pos.tolist(), par.tolist()] == [r.tolist() for r in ref]
+
+            seg = int(rng.integers(1, min(3, n - 2) + 1))
+            start = int(rng.integers(n))
+            path = [int(t[(start + k) % n]) for k in range(seg)]
+            if rng.random() < 0.5:
+                path = path[::-1]
+            c = int(t[(start + seg + rng.integers(n - seg)) % n])
+            sides = [int(t[(pos[c] + s) % n]) for s in (1, -1)]
+            e = rng.choice([v for v in sides if v not in path])  # c has one outside
+            ref = [t.copy(), pos.copy()]
+            seen.add(("move",) + _gather_move_segment(*ref, path, c, e))
+            solvers._move_segment(t, pos, path, c, e)
+            assert [t.tolist(), pos.tolist()] == [r.tolist() for r in ref]
+    assert seen == {("reverse", False), ("reverse", True), ("move", True, False),
+                    ("move", True, True), ("move", False, False), ("move", False, True)}
+
+
 # (kind, alpha, density, n, seed, stream, A of the grid_tour start): each
 # found a node that a certificate weakened in one way (kept proposals left
 # out, stamps compared with >, no parity, no window or no candidate check)
