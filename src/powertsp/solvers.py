@@ -22,10 +22,12 @@ tail.  Local search:
 ``two_opt`` polishes a tour with 2-opt and Or-opt moves (segments of 1-3
 nodes) over each node's K = 10 nearest nodes under h, found by an exact
 ring search over a grid, in O(n·K) memory: only the exact solvers build
-the dense n x n matrix.  From ``CERTIFY_MIN_NODES`` nodes up, a full wave
-of the search past the second scores only the nodes whose moves can have
-changed since they were last scored, so its tours are those of a search
-that scores every node.  Plus
+the dense n x n matrix.  A wave scores its nodes in chunks of
+``EVAL_NODES`` and applies each chunk's moves before it scores the next.
+From ``CERTIFY_MIN_NODES`` nodes up, a full wave of the search past the
+second scores only the nodes whose moves can have changed since they were
+last scored and applies its moves once, after its last chunk, so its tours
+are those of such a wave over every node.  Plus
 exact minimum-weight spanning paths up to 16 nodes (each solved by the
 dynamic program as a cycle through an extra node that costs 0 to reach
 from every node), the in/cross/out decomposition path, and the
@@ -563,6 +565,48 @@ def _propose(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarray, p
             near[:, hit].T)
 
 
+def _edge_weights(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarray) -> np.ndarray:
+    """w[p] = h^alpha of the tour edge (t[p], t[p + 1]), by one kernel call."""
+    return wf.h_pairs(pts.take(t, axis=0), pts.take(np.concatenate((t[1:], t[:1])), axis=0)) ** alpha
+
+
+def _apply_moves(t: np.ndarray, pos: np.ndarray, par: np.ndarray | None,
+                 found: list[tuple[np.ndarray, ...]]) -> tuple[set[int], list[int]]:
+    """Apply the proposals of the ``_propose`` results ``found`` best gain
+    first, skipping each proposal that an earlier one touched or whose 2-opt
+    edges no longer point the same way (see ``_local_search``).  Returns the
+    nodes the applied moves touched and the nodes whose proposals were
+    skipped."""
+    n = t.size
+    gains = np.concatenate([f[0] for f in found])
+    a_hit, j_hit, c_hit, e_hit, near_hit = (np.concatenate([f[i] for f in found]).tolist()
+                                            for i in range(1, 6))
+    touched, kept = set(), []
+    for i in (-gains).argsort(kind="stable").tolist():
+        a, j, c, e, at = a_hit[i], j_hit[i], c_hit[i], e_hit[i], near_hit[i]
+        if j < 5:  # Or-opt: segment j into the edge (c, e)
+            step, length = (1 if j < 3 else -1), int(_SEG_LEN[j])
+            path = at[_REACH:_REACH + step * length:step]
+            nodes = path + [at[_REACH - step], at[_REACH + step * length], c, e]
+        else:  # 2-opt: edges (a, b) and (c, e) become (a, c) and (b, e)
+            b = at[_REACH + _SEG_Z[j]]
+            nodes = [a, b, c, e]
+        if not touched.isdisjoint(nodes):
+            kept.append(a)
+            continue
+        if j < 5:
+            _move_segment(t, pos, path, c, e)
+        elif t[(pos[a] + 1) % n] == b and t[(pos[c] + 1) % n] == e:
+            _reverse_path(t, pos, int(pos[b]), int(pos[c]), par)
+        elif t[pos[a] - 1] == b and t[pos[c] - 1] == e:
+            _reverse_path(t, pos, int(pos[a]), int(pos[e]), par)
+        else:
+            kept.append(a)
+            continue
+        touched.update(nodes)
+    return touched, kept
+
+
 def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarray) -> None:
     """2-opt and Or-opt moves on the cycle ``t`` (n >= 4, in place) over each
     node's candidate list, until no such move gains more than
@@ -570,36 +614,41 @@ def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarr
 
     The tour is held as its order ``t``, the position ``pos`` of each node
     and the weight w[p] of each edge (t[p], t[p + 1]), which one kernel call
-    recomputes after each wave.  Each wave scores every move of its active
-    nodes as whole arrays, in chunks of ``EVAL_NODES`` nodes: the 2-opt
-    moves that join a node a to a candidate c, in both tour directions, and
-    the Or-opt moves that carry a segment of 1-3 nodes ending at a into a
-    tour edge (c, e), e either tour neighbour of c, with a joined to c.  A
-    move's gain is the weight it drops, read off w, minus the weight it
-    adds: the edge (a, c), read off the candidate lists, and the edge from
-    e and an Or-opt move's bridge, each scored by one kernel call per chunk
-    (h(z, e) once per z offset and side of c).  Each node proposes its best
-    move, with the c and e it was scored with, and the proposals are
-    applied best gain first.  A proposal is skipped when an earlier move of
-    the wave touched one of its nodes (its edges may be gone), or when the
-    two edges of a 2-opt move no longer point the same way (a reversal
-    between them flipped one).  Nodes that a move touched, or whose
-    proposal was skipped, stay active; the others are not scored again
-    until a move touches them (don't-look bits), unless at most
-    ``FULL_WAVE_SLACK`` nodes would sit out.  A wave that finds nothing is
-    followed by a full wave, and the search ends when a full wave finds
-    nothing.  Every applied move gains more than tol, so the search ends.
+    recomputes whenever moves were applied.  Each wave scores every move of
+    its active nodes as whole arrays, in chunks of ``EVAL_NODES`` nodes: the
+    2-opt moves that join a node a to a candidate c, in both tour
+    directions, and the Or-opt moves that carry a segment of 1-3 nodes
+    ending at a into a tour edge (c, e), e either tour neighbour of c, with
+    a joined to c.  A move's gain is the weight it drops, read off w, minus
+    the weight it adds: the edge (a, c), read off the candidate lists, and
+    the edge from e and an Or-opt move's bridge, each scored by one kernel
+    call per chunk (h(z, e) once per z offset and side of c).  Each node
+    proposes its best move, with the c and e it was scored with.  A chunk's
+    proposals are applied as soon as it is scored, best gain first, so the
+    wave's later chunks score the tour its earlier chunks left.  A proposal
+    is skipped when an earlier move of its chunk touched one of its nodes
+    (its edges may be gone), or when the two edges of a 2-opt move no
+    longer point the same way (a reversal between them flipped one).
+    Nodes that a move touched, or whose proposal was skipped, stay active;
+    the others are not scored again until a move touches them (don't-look
+    bits), unless at most ``FULL_WAVE_SLACK`` nodes would sit out.  A wave
+    that finds nothing is followed by a full wave, and the search ends when
+    a full wave finds nothing: no chunk of it applied a move, so every
+    chunk scored the same tour.  Every applied move gains more than tol,
+    so the search ends.
 
     Full waves past the second score only the nodes ``_stale`` returns,
-    once n >= ``CERTIFY_MIN_NODES``.  Every other node was last scored with
-    the same inputs, up to a mirror image, and found no move then, so it
-    finds none now: the moves, their order and every tour are those of
-    waves over every node, and the search still ends only on a full wave
-    that finds nothing.  A node a's gains read the nodes at tour offsets
-    -3..3 from a, in order, with the weights of the edges between them, and
-    for each candidate c its two tour neighbours, which of them lies on the
-    side of c that a's successor lies on of a, and where c and they sit
-    when within offset 3 of a.
+    once n >= ``CERTIFY_MIN_NODES``, and apply their chunks' proposals
+    together, after the last chunk, so that every chunk scores the tour the
+    wave starts from.  Every other node was last scored with the same
+    inputs, up to a mirror image, and found no move then, so it finds none
+    on that tour: the moves, their order and every tour are those of waves
+    over every node that apply once, and the search still ends only on a
+    full wave that finds nothing.  A node a's gains read the nodes at tour
+    offsets -3..3 from a, in order, with the weights of the edges between
+    them, and for each candidate c its two tour neighbours, which of them
+    lies on the side of c that a's successor lies on of a, and where c and
+    they sit when within offset 3 of a.
 
     - A move changes edges only at the nodes it touches.  ``changed``
       stamps those with the wave, and ``scored`` stamps each scoring.
@@ -618,9 +667,10 @@ def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarr
     - A node whose proposal was skipped still has that move.
 
     Stamps compare with >=: a node scored in a wave is stale when that
-    wave's moves touched its inputs.  The certificate is allocated when a
-    second full wave begins, and that wave scores every node, so a search
-    that ends on its first full wave pays nothing for it.
+    wave's moves touched its inputs, whether they came before or after its
+    chunk.  The certificate is allocated when a second full wave begins,
+    and that wave scores every node, so a search that ends on its first
+    full wave pays nothing for it.
     """
     n = t.size
     nb, hb = _candidate_lists(pts, wf)
@@ -636,11 +686,12 @@ def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarr
     columns = (off[1:-1] * _OFF.size + off[2:]) * _OFF.size + off[:-2]
     pos = np.empty(n, dtype=np.intp)
     pos[t] = np.arange(n)
-    w = wf.h_pairs(pts.take(t, axis=0), pts.take(np.concatenate((t[1:], t[:1])), axis=0)) ** alpha
+    w = _edge_weights(pts, wf, alpha, t)
     tol = 1e-12 * (1.0 + w.sum())  # the edges summed as tour_weight sums them
     active, every, kept = np.arange(n), True, []
     scored = changed = par = rel = None  # the certificate, from the second full wave
     for wave in itertools.count():
+        certified = False
         if every and wave and n >= CERTIFY_MIN_NODES:
             if scored is None:
                 scored, changed = np.empty(n, dtype=np.intp), np.full(n, -1)
@@ -649,47 +700,29 @@ def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarr
                 active = _stale(t, nb, kept, scored, changed, par, rel)
                 if not active.size:
                     return  # a full wave that would find nothing
-        found = []
+                certified = True
+        touched, kept, found = set(), [], []
         for s in range(0, active.size, EVAL_NODES):
             a = active[s:s + EVAL_NODES]
             found.append(_propose(pts, wf, alpha, t, pos, w, nb_t, w_ac, penalty, columns, tol, a))
-        if scored is not None:
-            scored[active] = wave
-            rel[active] = par[nb[active]] ^ par[active, None]
-        gains = np.concatenate([f[0] for f in found])
-        if not gains.size:
+            if scored is not None:
+                scored[a] = wave
+                rel[a] = par[nb[a]] ^ par[a, None]
+            if certified and s + EVAL_NODES < active.size:
+                continue  # the wave applies once, after its last chunk
+            moved, skipped = _apply_moves(t, pos, par, found)
+            found = []
+            kept += skipped
+            if moved:
+                touched |= moved
+                w = _edge_weights(pts, wf, alpha, t)
+        if not touched and not kept:  # no proposals
             if every:
                 return
-            active, every, kept = np.arange(n), True, []
+            active, every = np.arange(n), True
             continue
-        a_hit, j_hit, c_hit, e_hit, near_hit = (np.concatenate([f[i] for f in found]).tolist()
-                                                for i in range(1, 6))
-        touched, kept = set(), []
-        for i in (-gains).argsort(kind="stable").tolist():
-            a, j, c, e, at = a_hit[i], j_hit[i], c_hit[i], e_hit[i], near_hit[i]
-            if j < 5:  # Or-opt: segment j into the edge (c, e)
-                step, length = (1 if j < 3 else -1), int(_SEG_LEN[j])
-                path = at[_REACH:_REACH + step * length:step]
-                nodes = path + [at[_REACH - step], at[_REACH + step * length], c, e]
-            else:  # 2-opt: edges (a, b) and (c, e) become (a, c) and (b, e)
-                b = at[_REACH + _SEG_Z[j]]
-                nodes = [a, b, c, e]
-            if not touched.isdisjoint(nodes):
-                kept.append(a)
-                continue
-            if j < 5:
-                _move_segment(t, pos, path, c, e)
-            elif t[(pos[a] + 1) % n] == b and t[(pos[c] + 1) % n] == e:
-                _reverse_path(t, pos, int(pos[b]), int(pos[c]), par)
-            elif t[pos[a] - 1] == b and t[pos[c] - 1] == e:
-                _reverse_path(t, pos, int(pos[a]), int(pos[e]), par)
-            else:
-                kept.append(a)
-                continue
-            touched.update(nodes)
         if changed is not None:
             changed[list(touched)] = wave
-        w = wf.h_pairs(pts.take(t, axis=0), pts.take(np.concatenate((t[1:], t[:1])), axis=0)) ** alpha
         active = np.array(sorted(touched.union(kept)))
         if active.size + FULL_WAVE_SLACK >= n:
             active = np.arange(n)

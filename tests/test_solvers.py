@@ -896,9 +896,9 @@ AUDITED = [
     ("euclidean", 1.5, "checkerboard", 16, 2, (16, 0), 1),
     ("coordinate_metric", 0.3, "uniform", 20, 1, (20, 1), 1),
     ("coordinate_metric", 1.0, "checkerboard", 200, 2, (200, 1), 3),
-    ("coordinate_metric", 0.5, "checkerboard", 1000, 2, (1000, 1), 3),
-    ("euclidean", 2.0, "uniform", 1000, 1, (1000, 0), 1),
-    ("radial_metric", 0.3, "uniform", 1000, 2, (1000, 2), 1),
+    ("coordinate_metric", 0.5, "checkerboard", 1000, 2, (1000, 15), 3),
+    ("euclidean", 2.0, "uniform", 1000, 1, (1000, 23), 1),
+    ("radial_metric", 0.3, "uniform", 1000, 2, (1000, 8), 1),
     ("radial_metric", 1.0, "checkerboard", 512, 1, (512, 0), 1),
 ]
 
@@ -944,6 +944,27 @@ def test_two_opt_full_waves_skip_only_nodes_without_moves(kind, alpha, density, 
     # scoring every node takes the same moves in the same order
     assert two_opt(pts, start, wf, alpha) == certified
     assert audit["waves"] > 0
+
+
+def test_two_opt_later_chunks_score_the_tour_earlier_chunks_left(monkeypatch):
+    # a wave over 1000 nodes scores them in four chunks: the second sees the
+    # moves of the first, and every chunk reads the edge weights of the tour
+    # it scores
+    n = 1000
+    pts = random_points(n, seed=1002)
+    real_propose = solvers._propose
+    tours = []
+
+    def propose(pts, wf, alpha, t, pos, w, *args):
+        assert np.array_equal(pos[t], np.arange(n))
+        assert np.array_equal(w, wf.h_pairs(pts[t], pts[np.roll(t, -1)]) ** alpha)
+        tours.append(t.copy())
+        return real_propose(pts, wf, alpha, t, pos, w, *args)
+
+    monkeypatch.setattr(solvers, "_propose", propose)
+    two_opt(pts, grid_tour(pts, EU, 1.0, build_tiling(n, 1.0)), EU, 1.0)
+    assert len(tours) > 4
+    assert not np.array_equal(tours[0], tours[1])
 
 
 def test_two_opt_full_waves_skip_most_nodes_at_scale(monkeypatch):
