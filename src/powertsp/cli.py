@@ -2,7 +2,7 @@
 Monte Carlo experiments, and run the invariant suite.
 
 Exit codes: 0 success, 1 validation error or out of memory, 2 property
-failure, 3 I/O error.
+failure, 3 I/O error, a standard output closed by its reader included.
 Every run prints its resolved configuration to stderr before executing, and
 --seed (where stochastic) fully determines the output.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -251,7 +252,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         echo_config(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head` does): point it at os.devnull,
+        # so that the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_IO
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

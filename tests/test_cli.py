@@ -216,13 +216,13 @@ def test_csv_comments_and_blank_lines(capsys, tmp_path):
     assert json.loads(out)["n"] == 3
 
 
-def run_cli_process(*argv):
+def run_cli_process(*argv, stdout=subprocess.PIPE):
     """The CLI in a fresh interpreter, so an uncaught exception shows up as a
     traceback on stderr rather than as a test error."""
     src = os.path.dirname(os.path.dirname(powertsp.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-m", "powertsp.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -253,6 +253,22 @@ def test_bad_numbers_fail_at_the_boundary(argv, message):
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
     assert proc.stdout == ""
+
+
+def test_a_closed_stdout_exits_quietly():
+    # the pipe's reader is gone before the tour is written, as when
+    # `| head -c 10` has read its bytes and exited
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_cli_process("tour", "--points", os.path.join(os.path.dirname(__file__),
+                                                                "golden", "cli_points.csv"),
+                               "--two-opt", stdout=write)
+    finally:
+        os.close(write)
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
+    assert proc.returncode == 3
 
 
 def test_bounds_prints_c2_where_the_moment_series_is_long():
