@@ -23,11 +23,8 @@ tail.  Local search:
 nodes) over each node's K = 10 nearest nodes under h, found by an exact
 ring search over a grid, in O(n·K) memory: only the exact solvers build
 the dense n x n matrix.  A wave scores its nodes in chunks of
-``EVAL_NODES`` and applies each chunk's moves before it scores the next.
-From ``CERTIFY_MIN_NODES`` nodes up, a full wave of the search past the
-second scores only the nodes whose moves can have changed since they were
-last scored and applies its moves once, after its last chunk, so its tours
-are those of such a wave over every node.  Plus
+``EVAL_NODES`` and applies each chunk's moves before it scores the next;
+the search ends on a wave over every node that finds nothing.  Plus
 exact minimum-weight spanning paths up to 16 nodes (each solved by the
 dynamic program as a cycle through an extra node that costs 0 to reach
 from every node), the in/cross/out decomposition path, and the
@@ -37,7 +34,6 @@ name, ``"exact"`` or one of ``HEURISTICS``, to these calls.
 
 from __future__ import annotations
 
-import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -64,10 +60,6 @@ WALK_MAX_NODES = 32
 # a wave's fixed cost is about that many nodes' scoring, and a wave over
 # every node that finds nothing ends the search.
 FULL_WAVE_SLACK = 32
-# two_opt certifies which nodes a full wave may skip from this many nodes
-# up: below it nearly every node is stale in a full wave (84% of them at 64
-# nodes), and the bookkeeping costs more than the scorings it saves
-CERTIFY_MIN_NODES = 96
 DENSE_CELL_MIN_NODES = 3  # a cell with fewer nodes is sparse
 HEURISTICS = ("grid_tour", "grid_tour+two_opt")
 
@@ -465,20 +457,16 @@ def _span(n: int, lo: int, length: int) -> tuple[slice | np.ndarray, np.ndarray]
     return idx, idx
 
 
-def _reverse_path(t: np.ndarray, pos: np.ndarray, i: int, j: int, par: np.ndarray | None) -> None:
+def _reverse_path(t: np.ndarray, pos: np.ndarray, i: int, j: int) -> None:
     """Reverse the tour positions i..j (cyclic, forward), or the complementary
-    path when that is shorter: both leave the same cycle.  ``par``, unless
-    None, flips at every node whose positions were reversed."""
+    path when that is shorter: both leave the same cycle."""
     n = t.size
     length = (j - i) % n + 1
     if 2 * length > n:
         i, length = j + 1, n - length
     key, idx = _span(n, i % n, length)
     t[key] = t[key][::-1]  # numpy copies an overlapping right-hand side first
-    moved = t[key]
-    pos[moved] = idx
-    if par is not None:
-        par[moved] ^= True
+    pos[t[key]] = idx
 
 
 def _move_segment(t: np.ndarray, pos: np.ndarray, path: list[int], c: int, e: int) -> None:
@@ -500,27 +488,6 @@ def _move_segment(t: np.ndarray, pos: np.ndarray, path: list[int], c: int, e: in
         new = np.concatenate((x, t[key][:-seg]))
     t[key] = new
     pos[new] = idx
-
-
-def _stale(t: np.ndarray, nb: np.ndarray, kept: list[int], scored: np.ndarray,
-           changed: np.ndarray, par: np.ndarray, rel: np.ndarray) -> np.ndarray:
-    """The nodes a full wave of ``_local_search`` must score, ascending: those
-    with a node changed since they were last scored within ``_REACH`` tour
-    positions or among their candidates, those whose reversal parity
-    relative to a candidate differs from the one they were scored with, and
-    the ``kept`` nodes, whose proposals were skipped."""
-    n = t.size
-    # the stamps by tour position from -3 to n + 2, and their maximum over
-    # windows of 2, 4 and then 7 positions
-    near = changed.take(t.take(np.arange(-_REACH, n + _REACH), mode="wrap"))
-    for d in (1, 2, 3):
-        near = np.maximum(near[:-d], near[d:])
-    stale = np.empty(n, dtype=bool)
-    stale[t] = near >= scored[t]
-    stale |= changed[nb].max(axis=1) >= scored
-    stale |= (par[nb] ^ par[:, None] ^ rel).any(axis=1)
-    stale[kept] = True
-    return np.flatnonzero(stale)
 
 
 def _propose(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarray, pos: np.ndarray,
@@ -570,19 +537,17 @@ def _edge_weights(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarr
     return wf.h_pairs(pts.take(t, axis=0), pts.take(np.concatenate((t[1:], t[:1])), axis=0)) ** alpha
 
 
-def _apply_moves(t: np.ndarray, pos: np.ndarray, par: np.ndarray | None,
-                 found: list[tuple[np.ndarray, ...]]) -> tuple[set[int], list[int]]:
-    """Apply the proposals of the ``_propose`` results ``found`` best gain
+def _apply_moves(t: np.ndarray, pos: np.ndarray,
+                 found: tuple[np.ndarray, ...]) -> tuple[set[int], list[int]]:
+    """Apply the proposals of the ``_propose`` result ``found`` best gain
     first, skipping each proposal that an earlier one touched or whose 2-opt
     edges no longer point the same way (see ``_local_search``).  Returns the
     nodes the applied moves touched and the nodes whose proposals were
     skipped."""
     n = t.size
-    gains = np.concatenate([f[0] for f in found])
-    a_hit, j_hit, c_hit, e_hit, near_hit = (np.concatenate([f[i] for f in found]).tolist()
-                                            for i in range(1, 6))
+    a_hit, j_hit, c_hit, e_hit, near_hit = (f.tolist() for f in found[1:])
     touched, kept = set(), []
-    for i in (-gains).argsort(kind="stable").tolist():
+    for i in (-found[0]).argsort(kind="stable").tolist():
         a, j, c, e, at = a_hit[i], j_hit[i], c_hit[i], e_hit[i], near_hit[i]
         if j < 5:  # Or-opt: segment j into the edge (c, e)
             step, length = (1 if j < 3 else -1), int(_SEG_LEN[j])
@@ -597,9 +562,9 @@ def _apply_moves(t: np.ndarray, pos: np.ndarray, par: np.ndarray | None,
         if j < 5:
             _move_segment(t, pos, path, c, e)
         elif t[(pos[a] + 1) % n] == b and t[(pos[c] + 1) % n] == e:
-            _reverse_path(t, pos, int(pos[b]), int(pos[c]), par)
+            _reverse_path(t, pos, int(pos[b]), int(pos[c]))
         elif t[pos[a] - 1] == b and t[pos[c] - 1] == e:
-            _reverse_path(t, pos, int(pos[a]), int(pos[e]), par)
+            _reverse_path(t, pos, int(pos[a]), int(pos[e]))
         else:
             kept.append(a)
             continue
@@ -636,41 +601,6 @@ def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarr
     a full wave finds nothing: no chunk of it applied a move, so every
     chunk scored the same tour.  Every applied move gains more than tol,
     so the search ends.
-
-    Full waves past the second score only the nodes ``_stale`` returns,
-    once n >= ``CERTIFY_MIN_NODES``, and apply their chunks' proposals
-    together, after the last chunk, so that every chunk scores the tour the
-    wave starts from.  Every other node was last scored with the same
-    inputs, up to a mirror image, and found no move then, so it finds none
-    on that tour: the moves, their order and every tour are those of waves
-    over every node that apply once, and the search still ends only on a
-    full wave that finds nothing.  A node a's gains read the nodes at tour
-    offsets -3..3 from a, in order, with the weights of the edges between
-    them, and for each candidate c its two tour neighbours, which of them
-    lies on the side of c that a's successor lies on of a, and where c and
-    they sit when within offset 3 of a.
-
-    - A move changes edges only at the nodes it touches.  ``changed``
-      stamps those with the wave, and ``scored`` stamps each scoring.
-    - If no node within offset 3 of a was touched since a was scored, a's
-      offsets -3..3 hold the same path, forward or reversed: a touched node
-      would have stayed within offset 3, since the edges from a up to the
-      nearest touched node remain.  Reversed, each (row, side) pair trades
-      places with its mirror image, whose gain is the same float sum, since
-      h is symmetric bit for bit and addition commutes.
-    - If no candidate of a was touched, each keeps its tour neighbours.
-      The side of c they lie on, relative to a, changes only when a
-      reversal moves one of a and c and not the other.  Each reversal flips
-      the parity ``par`` of the nodes whose positions it reverses, and
-      ``rel`` keeps par[a] ^ par[c] from a's scoring.  A segment move may
-      lay its nodes down reversed, but it touches them.
-    - A node whose proposal was skipped still has that move.
-
-    Stamps compare with >=: a node scored in a wave is stale when that
-    wave's moves touched its inputs, whether they came before or after its
-    chunk.  The certificate is allocated when a second full wave begins,
-    and that wave scores every node, so a search that ends on its first
-    full wave pays nothing for it.
     """
     n = t.size
     nb, hb = _candidate_lists(pts, wf)
@@ -688,30 +618,13 @@ def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarr
     pos[t] = np.arange(n)
     w = _edge_weights(pts, wf, alpha, t)
     tol = 1e-12 * (1.0 + w.sum())  # the edges summed as tour_weight sums them
-    active, every, kept = np.arange(n), True, []
-    scored = changed = par = rel = None  # the certificate, from the second full wave
-    for wave in itertools.count():
-        certified = False
-        if every and wave and n >= CERTIFY_MIN_NODES:
-            if scored is None:
-                scored, changed = np.empty(n, dtype=np.intp), np.full(n, -1)
-                par, rel = np.zeros(n, dtype=bool), np.zeros(nb.shape, dtype=bool)
-            else:
-                active = _stale(t, nb, kept, scored, changed, par, rel)
-                if not active.size:
-                    return  # a full wave that would find nothing
-                certified = True
-        touched, kept, found = set(), [], []
+    active, every = np.arange(n), True
+    while True:
+        touched, kept = set(), []
         for s in range(0, active.size, EVAL_NODES):
-            a = active[s:s + EVAL_NODES]
-            found.append(_propose(pts, wf, alpha, t, pos, w, nb_t, w_ac, penalty, columns, tol, a))
-            if scored is not None:
-                scored[a] = wave
-                rel[a] = par[nb[a]] ^ par[a, None]
-            if certified and s + EVAL_NODES < active.size:
-                continue  # the wave applies once, after its last chunk
-            moved, skipped = _apply_moves(t, pos, par, found)
-            found = []
+            found = _propose(pts, wf, alpha, t, pos, w, nb_t, w_ac, penalty, columns, tol,
+                             active[s:s + EVAL_NODES])
+            moved, skipped = _apply_moves(t, pos, found)
             kept += skipped
             if moved:
                 touched |= moved
@@ -721,8 +634,6 @@ def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarr
                 return
             active, every = np.arange(n), True
             continue
-        if changed is not None:
-            changed[list(touched)] = wave
         active = np.array(sorted(touched.union(kept)))
         if active.size + FULL_WAVE_SLACK >= n:
             active = np.arange(n)

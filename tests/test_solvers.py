@@ -811,7 +811,7 @@ def test_two_opt_no_heavier_than_dense_reference():
     assert np.mean(ours) <= np.mean(dense)
 
 
-def _gather_reverse_path(t, pos, i, j, par):
+def _gather_reverse_path(t, pos, i, j):
     """_reverse_path as one gather and one scatter over every position it
     rewrites; returns whether those wrap past position 0."""
     n = t.size
@@ -822,7 +822,6 @@ def _gather_reverse_path(t, pos, i, j, par):
     moved = t[idx[::-1]]
     t[idx] = moved
     pos[moved] = idx
-    par[moved] ^= True
     return bool((np.diff(idx) < 0).any())
 
 
@@ -850,7 +849,7 @@ def _gather_move_segment(t, pos, path, c, e):
 
 
 def test_movers_match_their_gather_form():
-    # the slice form of each mover leaves t, pos and par as the gather form
+    # the slice form of each mover leaves t and pos as the gather form
     # does, on ranges that wrap past position 0 and ranges that do not, and
     # on both sides of the cycle a segment move can rewrite
     rng = np.random.default_rng(18)
@@ -859,12 +858,11 @@ def test_movers_match_their_gather_form():
         for _ in range(300):
             t = rng.permutation(n)
             pos = np.argsort(t)
-            par = rng.random(n) < 0.5
-            ref = [t.copy(), pos.copy(), par.copy()]
+            ref = [t.copy(), pos.copy()]
             i, j = rng.integers(n, size=2).tolist()
-            seen.add(("reverse", _gather_reverse_path(*ref[:2], i, j, ref[2])))
-            solvers._reverse_path(t, pos, i, j, par)
-            assert [t.tolist(), pos.tolist(), par.tolist()] == [r.tolist() for r in ref]
+            seen.add(("reverse", _gather_reverse_path(*ref, i, j)))
+            solvers._reverse_path(t, pos, i, j)
+            assert [t.tolist(), pos.tolist()] == [r.tolist() for r in ref]
 
             seg = int(rng.integers(1, min(3, n - 2) + 1))
             start = int(rng.integers(n))
@@ -880,70 +878,6 @@ def test_movers_match_their_gather_form():
             assert [t.tolist(), pos.tolist()] == [r.tolist() for r in ref]
     assert seen == {("reverse", False), ("reverse", True), ("move", True, False),
                     ("move", True, True), ("move", False, False), ("move", False, True)}
-
-
-# (kind, alpha, density, n, seed, stream, A of the grid_tour start): each
-# found a node that a certificate weakened in one way (kept proposals left
-# out, stamps compared with >, no parity, no window or no candidate check)
-# wrongly leaves out of a full wave
-AUDITED = [
-    ("radial_metric", 0.3, "uniform", 20, 2, (20, 7), 1),
-    ("euclidean", 0.3, "uniform", 50, 2, (50, 0), 1),
-    ("euclidean", 0.3, "uniform", 40, 109, (40, 0), 3),
-    ("coordinate_metric", 1.0, "uniform", 20, 114, (20, 1), 1),
-    ("radial_metric", 1.5, "uniform", 50, 1, (50, 2), 1),
-    ("radial_metric", 2.0, "checkerboard", 100, 1, (100, 2), 1),
-    ("euclidean", 1.5, "checkerboard", 16, 2, (16, 0), 1),
-    ("coordinate_metric", 0.3, "uniform", 20, 1, (20, 1), 1),
-    ("coordinate_metric", 1.0, "checkerboard", 200, 2, (200, 1), 3),
-    ("coordinate_metric", 0.5, "checkerboard", 1000, 2, (1000, 15), 3),
-    ("euclidean", 2.0, "uniform", 1000, 1, (1000, 23), 1),
-    ("radial_metric", 0.3, "uniform", 1000, 2, (1000, 8), 1),
-    ("radial_metric", 1.0, "checkerboard", 512, 1, (512, 0), 1),
-]
-
-
-def _audit_full_waves(monkeypatch):
-    """Make every certified full wave of two_opt score every node, and fail
-    when a node the certificate left out proposes a move.  Returns the
-    counts of certified waves and of the nodes they left out."""
-    real_stale, real_propose = solvers._stale, solvers._propose
-    audit = {"clean": set(), "left": 0, "waves": 0, "skipped": 0}
-
-    def stale(t, *args):
-        scored = real_stale(t, *args)
-        audit["clean"] = set(range(t.size)) - set(scored.tolist())
-        audit["left"] = t.size  # the nodes the wave will score
-        audit["waves"] += 1
-        audit["skipped"] += len(audit["clean"])
-        return np.arange(t.size)
-
-    def propose(*args):
-        out = real_propose(*args)
-        if audit["left"] > 0:
-            audit["left"] -= args[-1].size
-            assert audit["clean"].isdisjoint(out[1].tolist())
-        return out
-
-    monkeypatch.setattr(solvers, "_stale", stale)
-    monkeypatch.setattr(solvers, "_propose", propose)
-    return audit
-
-
-@pytest.mark.parametrize("kind, alpha, density, n, seed, stream, a", AUDITED)
-def test_two_opt_full_waves_skip_only_nodes_without_moves(kind, alpha, density, n, seed, stream,
-                                                          a, monkeypatch):
-    monkeypatch.setattr(solvers, "CERTIFY_MIN_NODES", 0)  # certify the small runs too
-    wf = make_weight_function(kind)
-    d = build_density(density, 0.5, 1.5, k=4) if density == "checkerboard" \
-        else build_density(density, 1.0, 1.0)
-    pts = sample_binomial(d, n, seed, stream=stream).points
-    start = grid_tour(pts, wf, alpha, build_tiling(n, a))
-    certified = two_opt(pts, start, wf, alpha)
-    audit = _audit_full_waves(monkeypatch)
-    # scoring every node takes the same moves in the same order
-    assert two_opt(pts, start, wf, alpha) == certified
-    assert audit["waves"] > 0
 
 
 def test_two_opt_later_chunks_score_the_tour_earlier_chunks_left(monkeypatch):
@@ -967,12 +901,25 @@ def test_two_opt_later_chunks_score_the_tour_earlier_chunks_left(monkeypatch):
     assert not np.array_equal(tours[0], tours[1])
 
 
-def test_two_opt_full_waves_skip_most_nodes_at_scale(monkeypatch):
-    n = 1000
-    pts = random_points(n, seed=1001)
-    audit = _audit_full_waves(monkeypatch)
-    two_opt(pts, grid_tour(pts, EU, 1.0, build_tiling(n, 1.0)), EU, 1.0)
-    assert audit["skipped"] > audit["waves"] * n // 2
+def test_two_opt_ends_on_a_full_wave_that_finds_nothing(monkeypatch):
+    # the last wave scores every node once, in chunks of EVAL_NODES, and
+    # none of its chunks proposes a move
+    real_propose = solvers._propose
+    calls = []
+
+    def propose(*args):
+        out = real_propose(*args)
+        calls.append((args[-1].tolist(), out[1].size))
+        return out
+
+    monkeypatch.setattr(solvers, "_propose", propose)
+    for n in (512, 1000, 2048):
+        pts = random_points(n, seed=n + 7)
+        calls.clear()
+        two_opt(pts, grid_tour(pts, EU, 1.0, build_tiling(n, 1.0)), EU, 1.0)
+        last = calls[-math.ceil(n / solvers.EVAL_NODES):]
+        assert sorted(x for nodes, _ in last for x in nodes) == list(range(n)), n
+        assert [hits for _, hits in last] == [0] * len(last), n
 
 
 def test_two_opt_memory_is_linear():
