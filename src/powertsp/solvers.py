@@ -49,8 +49,12 @@ EXACT_TOUR_MAX_N = 18
 EXACT_PATH_MAX_N = 16
 CANDIDATE_K = 10  # candidate list length of two_opt
 CELL_NODES = 2  # mean nodes per cell of the candidate search grid
-# (node, candidate) pairs scored at once by the candidate search and grid_tour,
-# and candidate sums per row block of the completion table
+# (node, candidate) pairs scored at once by the ring search of the candidate
+# lists: its largest temporary, their coordinates, holds 64 KiB, so that no
+# block reaches glibc's default mmap threshold (128 KiB) and maps fresh pages
+RING_PAIRS = 1 << 12
+# (node, candidate) pairs scored at once by grid_tour, and candidate sums per
+# row block of the completion table
 SEARCH_PAIRS = 1 << 16
 EVAL_NODES = 256  # active nodes whose moves two_opt scores at once
 # grid_tour walks a cell of at most this many nodes ahead of time, from every
@@ -328,7 +332,7 @@ def _candidate_lists(pts: np.ndarray, wf: WeightFunction) -> tuple[np.ndarray, n
     side that the square does not clip lies farther than h_K / c1: c1·d <= h,
     so a node beyond that side has h > h_K.  Nodes whose block fails the
     test widen it, R doubling per round.  A round scores its nodes in chunks
-    of about ``SEARCH_PAIRS`` (node, candidate) pairs, which bounds the
+    of about ``RING_PAIRS`` (node, candidate) pairs, which bounds the
     temporaries.
     """
     n = pts.shape[0]
@@ -364,7 +368,7 @@ def _candidate_lists(pts: np.ndarray, wf: WeightFunction) -> tuple[np.ndarray, n
         a = 0
         while a < todo.size:
             base = cum[a * rows.shape[1] - 1] if a else 0
-            b = max(a + 1, int(cum.searchsorted(base + SEARCH_PAIRS, side="right"))
+            b = max(a + 1, int(cum.searchsorted(base + RING_PAIRS, side="right"))
                     // rows.shape[1])
             lens = (hi[a:b] - lo[a:b]).ravel()
             cand = by_cell[_ranges(lo[a:b].ravel(), lens)]
@@ -457,21 +461,33 @@ def _span(n: int, lo: int, length: int) -> tuple[slice | np.ndarray, np.ndarray]
     return idx, idx
 
 
-def _reverse_path(t: np.ndarray, pos: np.ndarray, i: int, j: int) -> None:
+def _reverse_path(t: np.ndarray, pos: np.ndarray, w: np.ndarray, i: int, j: int) -> None:
     """Reverse the tour positions i..j (cyclic, forward), or the complementary
-    path when that is shorter: both leave the same cycle."""
+    path when that is shorter: both leave the same cycle.  The edge weights
+    ``w`` follow: the path's own edges keep theirs, in reverse order, since h
+    is bit-symmetric, and the two edges that join it to the rest are new,
+    marked NaN."""
     n = t.size
     length = (j - i) % n + 1
     if 2 * length > n:
         i, length = j + 1, n - length
-    key, idx = _span(n, i % n, length)
+        if not length:  # the whole cycle, which its reversal leaves as it is
+            return
+    i %= n
+    key, idx = _span(n, i, length)
     t[key] = t[key][::-1]  # numpy copies an overlapping right-hand side first
     pos[t[key]] = idx
+    inner = slice(i, i + length - 1) if isinstance(key, slice) else key[:-1]
+    w[inner] = w[inner][::-1]
+    w[i - 1] = w[(i + length - 1) % n] = np.nan
 
 
-def _move_segment(t: np.ndarray, pos: np.ndarray, path: list[int], c: int, e: int) -> None:
+def _move_segment(t: np.ndarray, pos: np.ndarray, w: np.ndarray, path: list[int], c: int,
+                  e: int) -> None:
     """Move the tour segment ``path`` (listed from the end that joins c) into
-    the tour edge (c, e), rewriting whichever side of the cycle is shorter."""
+    the tour edge (c, e), rewriting whichever side of the cycle is shorter.
+    The edge weights ``w`` of the path it shifts shift with it; the three
+    new edges and the segment's own are marked NaN."""
     n, seg = t.size, len(path)
     if t[(pos[c] + 1) % n] == e:
         u, x = c, path
@@ -483,61 +499,95 @@ def _move_segment(t: np.ndarray, pos: np.ndarray, path: list[int], c: int, e: in
     if between <= n - seg - between:  # the segment, then the path up to u
         key, idx = _span(n, i, between + seg)
         new = np.concatenate((t[key][seg:], x))
+        wk = w[key]
+        wk[:between - 1] = wk[seg:-1]
+        wk[between - 1:] = np.nan
     else:  # the path after u, then the segment
-        key, idx = _span(n, (int(pos[u]) + 1) % n, n - between)
+        i = (int(pos[u]) + 1) % n
+        key, idx = _span(n, i, n - between)
         new = np.concatenate((x, t[key][:-seg]))
+        wk = w[key]
+        wk[seg:-1] = wk[:-seg - 1]
+        wk[:seg] = wk[-1] = np.nan
     t[key] = new
     pos[new] = idx
+    w[key] = wk  # a copy when the key is an index array; numpy skips a slice's self-copy
+    w[i - 1] = np.nan  # the edge into the rewritten positions
 
 
 def _propose(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarray, pos: np.ndarray,
              w: np.ndarray, nb_t: np.ndarray, w_ac: np.ndarray, penalty: np.ndarray,
-             columns: np.ndarray, tol: float, a: np.ndarray) -> tuple[np.ndarray, ...]:
+             columns: np.ndarray, tol: float, out: np.ndarray,
+             a: np.ndarray) -> tuple[np.ndarray, ...]:
     """Score every move of the nodes ``a`` as whole arrays (see
     ``_local_search``) and return, for those whose best move gains more
     than tol, in the order of ``a``: the gain, the node, the move's row, its
-    c and e, and the nodes at tour offsets -3..3 from the node."""
+    c and e, and the nodes at tour offsets -3..3 from the node.  The gains
+    and their penalties are written into ``out``, a float array of at least
+    2·12·K·a.size entries that the caller allocates once and reuses."""
     # arrays run (pair, candidate, node): the node axis last and contiguous,
     # so that every broadcast has long inner loops
     n = t.size
-    pa = pos[a]
-    around = (pa + _OFF[:, None]) % n  # the positions at offsets -3..3
-    near = t.take(around)
+    pa = pos.take(a)
+    around = pa + _OFF[:, None]  # the positions at offsets -3..3, mod n
+    near = t.take(around, mode="wrap")
     xy = pts.take(near, axis=0)
-    w_at = w.take(around)
+    w_at = w.take(around, mode="wrap")
     drop = np.concatenate((
         (w_at[_OUT[:, 0]] + w_at[_OUT[:, 1]])
         - wf.h_pairs(xy[_BRIDGE[:, 0]], xy[_BRIDGE[:, 1]]) ** alpha,
         w_at[_EDGE]))
     c = nb_t.take(a, axis=1)
     pc = pos.take(c)
-    pe = pc + _SIDE_STEP  # e's position; the edge (c, e) starts at the earlier one
-    e = t.take(pe % n)
-    w_ce = w.take(np.minimum(pc, pe))
-    base = w_ce - w_ac.take(a, axis=1)
-    h_ze = wf.h_pairs(xy[_Z_ROW[:5]][:, None, None], pts.take(e, axis=0)) ** alpha
+    pe = pc + _SIDE_STEP  # e's position, mod n; the edge (c, e) starts at the earlier one
+    e = t.take(pe, mode="wrap")
     # pairs 0-9 are the Or-opt rows on both sides of c, 10-11 the 2-opt rows
-    gain = np.empty((_PAIR_ROW.size,) + c.shape)
-    np.add(drop[:5, None, None], base, out=gain[:10].reshape(h_ze.shape))
+    size = _PAIR_ROW.size * c.size
+    gain = out[:size].reshape((_PAIR_ROW.size,) + c.shape)
+    or_opt = gain[:10].reshape((5, 2) + c.shape)
+    base = w.take(np.minimum(pc, pe), mode="wrap") - w_ac.take(a, axis=1)
+    np.add(drop[:5, None, None], base, out=or_opt)
     np.add(drop[5:, None], base, out=gain[10:])
-    gain[:10] -= h_ze.reshape(gain[:10].shape)
-    gain[10:] -= h_ze[_TWO_OPT_Z, [0, 1]]
-    gain += penalty.take(columns.take(pc + (n - 1 - pa)), axis=1)
+    z = xy[_Z_ROW[:5], None]
+    for side in (0, 1):  # h(z, e) for every z offset, on this side of c
+        h_ze = wf.h_pairs(z, pts.take(e[side], axis=0)) ** alpha
+        or_opt[:, side] -= h_ze
+        gain[10 + side] -= h_ze[_TWO_OPT_Z[side]]
+        del h_ze  # freed before the next side's kernel call allocates its own
+    pen = out[size:2 * size].reshape(gain.shape)
+    # every column is in range; "clip" writes straight into out, where the
+    # default "raise" would gather into a temporary first
+    penalty.take(columns.take(pc + (n - 1 - pa)), axis=1, out=pen, mode="clip")
+    gain += pen
+    # each node's best gain and, where it beats tol, the first pair that
+    # reaches it, as argmax picks it, without argmax's transposed copy of
+    # the gains
     flat = gain.reshape(-1, a.size)
-    best = flat.argmax(axis=0)
-    gbest = flat[best, np.arange(a.size)]
+    gbest = flat.max(axis=0)
     hit = np.flatnonzero(gbest > tol)
-    pair, k = np.divmod(best[hit], c.shape[0])
+    pair, k = np.divmod((flat[:, hit] == gbest[hit]).argmax(axis=0), c.shape[0])
     return (gbest[hit], a[hit], _PAIR_ROW[pair], c[k, hit], e[_PAIR_SIDE[pair], k, hit],
             near[:, hit].T)
 
 
 def _edge_weights(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarray) -> np.ndarray:
-    """w[p] = h^alpha of the tour edge (t[p], t[p + 1]), by one kernel call."""
+    """w[p] = h^alpha of the tour edge (t[p], t[p + 1]), by one kernel call:
+    the polish's start, which its movers then keep in step."""
     return wf.h_pairs(pts.take(t, axis=0), pts.take(np.concatenate((t[1:], t[:1])), axis=0)) ** alpha
 
 
-def _apply_moves(t: np.ndarray, pos: np.ndarray,
+def _repair_edges(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarray,
+                  pos: np.ndarray, w: np.ndarray, nodes: set[int]) -> None:
+    """Recompute, by one kernel call, the edge weights that the movers
+    marked NaN.  Both ends of each such edge are among ``nodes``, the nodes
+    the moves touched, so it starts at the position of one of them."""
+    at = pos.take(np.fromiter(nodes, dtype=np.intp, count=len(nodes)))
+    at = at[np.isnan(w.take(at))]
+    nxt = t.take(at + 1, mode="wrap")
+    w[at] = wf.h_pairs(pts.take(t.take(at), axis=0), pts.take(nxt, axis=0)) ** alpha
+
+
+def _apply_moves(t: np.ndarray, pos: np.ndarray, w: np.ndarray,
                  found: tuple[np.ndarray, ...]) -> tuple[set[int], list[int]]:
     """Apply the proposals of the ``_propose`` result ``found`` best gain
     first, skipping each proposal that an earlier one touched or whose 2-opt
@@ -546,25 +596,26 @@ def _apply_moves(t: np.ndarray, pos: np.ndarray,
     skipped."""
     n = t.size
     a_hit, j_hit, c_hit, e_hit, near_hit = (f.tolist() for f in found[1:])
+    seg_len, seg_z = _SEG_LEN.tolist(), _SEG_Z.tolist()
     touched, kept = set(), []
     for i in (-found[0]).argsort(kind="stable").tolist():
         a, j, c, e, at = a_hit[i], j_hit[i], c_hit[i], e_hit[i], near_hit[i]
         if j < 5:  # Or-opt: segment j into the edge (c, e)
-            step, length = (1 if j < 3 else -1), int(_SEG_LEN[j])
+            step, length = (1 if j < 3 else -1), seg_len[j]
             path = at[_REACH:_REACH + step * length:step]
             nodes = path + [at[_REACH - step], at[_REACH + step * length], c, e]
         else:  # 2-opt: edges (a, b) and (c, e) become (a, c) and (b, e)
-            b = at[_REACH + _SEG_Z[j]]
+            b = at[_REACH + seg_z[j]]
             nodes = [a, b, c, e]
         if not touched.isdisjoint(nodes):
             kept.append(a)
             continue
         if j < 5:
-            _move_segment(t, pos, path, c, e)
+            _move_segment(t, pos, w, path, c, e)
         elif t[(pos[a] + 1) % n] == b and t[(pos[c] + 1) % n] == e:
-            _reverse_path(t, pos, int(pos[b]), int(pos[c]))
+            _reverse_path(t, pos, w, int(pos[b]), int(pos[c]))
         elif t[pos[a] - 1] == b and t[pos[c] - 1] == e:
-            _reverse_path(t, pos, int(pos[a]), int(pos[e]))
+            _reverse_path(t, pos, w, int(pos[a]), int(pos[e]))
         else:
             kept.append(a)
             continue
@@ -578,17 +629,22 @@ def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarr
     tol = 1e-12·(1 + the start tour's weight).
 
     The tour is held as its order ``t``, the position ``pos`` of each node
-    and the weight w[p] of each edge (t[p], t[p + 1]), which one kernel call
-    recomputes whenever moves were applied.  Each wave scores every move of
-    its active nodes as whole arrays, in chunks of ``EVAL_NODES`` nodes: the
-    2-opt moves that join a node a to a candidate c, in both tour
-    directions, and the Or-opt moves that carry a segment of 1-3 nodes
-    ending at a into a tour edge (c, e), e either tour neighbour of c, with
-    a joined to c.  A move's gain is the weight it drops, read off w, minus
-    the weight it adds: the edge (a, c), read off the candidate lists, and
-    the edge from e and an Or-opt move's bridge, each scored by one kernel
-    call per chunk (h(z, e) once per z offset and side of c).  Each node
-    proposes its best move, with the c and e it was scored with.  A chunk's
+    and the weight w[p] of each edge (t[p], t[p + 1]).  One kernel call
+    computes w at the start; after that the movers keep it in step with the
+    tour, carrying the weights of the edges they keep and marking each new
+    edge NaN, and one kernel call per chunk that moved something recomputes
+    the marked edges, so no chunk does work that grows with n beyond its
+    moves.  Each wave scores every move of its active nodes as whole
+    arrays, in chunks of ``EVAL_NODES`` nodes: the 2-opt moves that join a
+    node a to a candidate c, in both tour directions, and the Or-opt moves
+    that carry a segment of 1-3 nodes ending at a into a tour edge (c, e), e
+    either tour neighbour of c, with a joined to c.  A move's gain is the
+    weight it drops, read off w, minus the weight it adds: the edge (a, c),
+    read off the candidate lists, and the edge from e and an Or-opt move's
+    bridge, scored by three kernel calls per chunk (the bridges, then
+    h(z, e) for every z offset once per side of c, so that no temporary
+    reaches 128 KiB).  The chunks write their gains into one buffer
+    allocated per polish.  Each node proposes its best move, with the c and e it was scored with.  A chunk's
     proposals are applied as soon as it is scored, best gain first, so the
     wave's later chunks score the tour its earlier chunks left.  A proposal
     is skipped when an earlier move of its chunk touched one of its nodes
@@ -606,6 +662,7 @@ def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarr
     nb, hb = _candidate_lists(pts, wf)
     # candidate-major copies, so that a chunk's gathers come out contiguous
     nb_t, w_ac = nb.T.copy(), (hb ** alpha).T.copy()
+    del nb, hb
     # a segment needs two distinct outside neighbours
     penalty = np.where((_SEG_LEN[_PAIR_ROW] > n - 2)[:, None], -np.inf, _PAIR_PENALTY)
     # c's tour offset from a, as pos[c] - pa + n - 1, to the penalty-table
@@ -618,17 +675,18 @@ def _local_search(pts: np.ndarray, wf: WeightFunction, alpha: float, t: np.ndarr
     pos[t] = np.arange(n)
     w = _edge_weights(pts, wf, alpha, t)
     tol = 1e-12 * (1.0 + w.sum())  # the edges summed as tour_weight sums them
+    gains = np.empty(2 * _PAIR_ROW.size * nb_t.shape[0] * min(n, EVAL_NODES))
     active, every = np.arange(n), True
     while True:
         touched, kept = set(), []
         for s in range(0, active.size, EVAL_NODES):
             found = _propose(pts, wf, alpha, t, pos, w, nb_t, w_ac, penalty, columns, tol,
-                             active[s:s + EVAL_NODES])
-            moved, skipped = _apply_moves(t, pos, found)
+                             gains, active[s:s + EVAL_NODES])
+            moved, skipped = _apply_moves(t, pos, w, found)
             kept += skipped
             if moved:
                 touched |= moved
-                w = _edge_weights(pts, wf, alpha, t)
+                _repair_edges(pts, wf, alpha, t, pos, w, moved)
         if not touched and not kept:  # no proposals
             if every:
                 return

@@ -732,11 +732,12 @@ def candidate_point_sets():
         yield f"n={n}", random_points(n, seed=78 + n)
 
 
-@pytest.mark.parametrize("pairs", [solvers.SEARCH_PAIRS, 64])
+@pytest.mark.parametrize("pairs", [solvers.RING_PAIRS, 1 << 16, 64])
 @pytest.mark.parametrize("kind", KINDS)
 def test_candidate_lists_match_argsort(kind, pairs, monkeypatch):
-    # 64 pairs per chunk splits every round into many chunks
-    monkeypatch.setattr(solvers, "SEARCH_PAIRS", pairs)
+    # 65 536 pairs per chunk score most rounds in one chunk, 64 split every
+    # round into many
+    monkeypatch.setattr(solvers, "RING_PAIRS", pairs)
     wf = make_weight_function(kind)
     for label, pts in candidate_point_sets():
         nb, hb = _candidate_lists(pts, wf)
@@ -848,21 +849,41 @@ def _gather_move_segment(t, pos, path, c, e):
     return front, bool((np.diff(idx) < 0).any())
 
 
+def _edge_names(t):
+    """A weight per tour edge (t[p], t[p + 1]) that names its two ends, the
+    same in both directions, as h is."""
+    nxt = np.roll(t, -1)
+    return (np.minimum(t, nxt) * t.size + np.maximum(t, nxt)).astype(float)
+
+
+def _check_edge_weights(w, t, ends):
+    """w names each edge of the tour t, or is NaN on an edge whose two ends
+    both lie in ``ends``, the nodes of the move that made it."""
+    stale = np.isnan(w)
+    assert np.array_equal(w[~stale], _edge_names(t)[~stale])
+    assert set(t[stale].tolist()) | set(np.roll(t, -1)[stale].tolist()) <= set(ends)
+
+
 def test_movers_match_their_gather_form():
     # the slice form of each mover leaves t and pos as the gather form
     # does, on ranges that wrap past position 0 and ranges that do not, and
-    # on both sides of the cycle a segment move can rewrite
+    # on both sides of the cycle a segment move can rewrite; the edge
+    # weights it carries stay on their edges, and each edge it leaves NaN
+    # joins two nodes of its move
     rng = np.random.default_rng(18)
     seen = set()
     for n in (4, 5, 6, 7, 8, 13, 40):
         for _ in range(300):
             t = rng.permutation(n)
             pos = np.argsort(t)
+            w = _edge_names(t)
             ref = [t.copy(), pos.copy()]
             i, j = rng.integers(n, size=2).tolist()
+            ends = t[[i - 1, i, j, (j + 1) % n]].tolist()
             seen.add(("reverse", _gather_reverse_path(*ref, i, j)))
-            solvers._reverse_path(t, pos, i, j)
+            solvers._reverse_path(t, pos, w, i, j)
             assert [t.tolist(), pos.tolist()] == [r.tolist() for r in ref]
+            _check_edge_weights(w, t, ends)
 
             seg = int(rng.integers(1, min(3, n - 2) + 1))
             start = int(rng.integers(n))
@@ -872,10 +893,13 @@ def test_movers_match_their_gather_form():
             c = int(t[(start + seg + rng.integers(n - seg)) % n])
             sides = [int(t[(pos[c] + s) % n]) for s in (1, -1)]
             e = rng.choice([v for v in sides if v not in path])  # c has one outside
+            ends = path + t[[start - 1, (start + seg) % n]].tolist() + [c, e]
+            w = _edge_names(t)
             ref = [t.copy(), pos.copy()]
             seen.add(("move",) + _gather_move_segment(*ref, path, c, e))
-            solvers._move_segment(t, pos, path, c, e)
+            solvers._move_segment(t, pos, w, path, c, e)
             assert [t.tolist(), pos.tolist()] == [r.tolist() for r in ref]
+            _check_edge_weights(w, t, ends)
     assert seen == {("reverse", False), ("reverse", True), ("move", True, False),
                     ("move", True, True), ("move", False, False), ("move", False, True)}
 
@@ -899,6 +923,51 @@ def test_two_opt_later_chunks_score_the_tour_earlier_chunks_left(monkeypatch):
     two_opt(pts, grid_tour(pts, EU, 1.0, build_tiling(n, 1.0)), EU, 1.0)
     assert len(tours) > 4
     assert not np.array_equal(tours[0], tours[1])
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 17, 300, 1000])
+def test_two_opt_keeps_its_edge_weights_in_step(n, monkeypatch):
+    # the movers carry the weights of the edges they keep and mark the new
+    # ones, which one kernel call per chunk recomputes: every chunk reads
+    # the weights that a pass over its whole tour would give, bit for bit,
+    # under every kind and alpha, across reversals and segment moves that
+    # wrap past position 0
+    real_propose, real_span = solvers._propose, solvers._span
+    movers, seen = [], set()
+
+    def propose(pts, wf, alpha, t, pos, w, *args):
+        assert np.array_equal(w, solvers._edge_weights(pts, wf, alpha, t)), (wf.kind, alpha)
+        return real_propose(pts, wf, alpha, t, pos, w, *args)
+
+    def span(n, lo, length):
+        seen.add((movers[-1], lo + length > n))
+        return real_span(n, lo, length)
+
+    def mover(name, real):
+        def run(*args):
+            movers.append(name)
+            real(*args)
+            movers.pop()
+        return run
+
+    monkeypatch.setattr(solvers, "_propose", propose)
+    monkeypatch.setattr(solvers, "_span", span)
+    monkeypatch.setattr(solvers, "_reverse_path", mover("reverse", solvers._reverse_path))
+    monkeypatch.setattr(solvers, "_move_segment", mover("move", solvers._move_segment))
+    rng = np.random.default_rng(7000 + n)
+    combos = [(k, al, dens) for k in KINDS for al in ALPHAS for dens in ("uniform", "checkerboard")]
+    for case, (kind, alpha, dens) in enumerate(combos):
+        wf = make_weight_function(kind)
+        seed = 7000 * n + case
+        pts = (random_points(n, seed) if dens == "uniform"
+               else sample_binomial(CHECKERBOARD, n, seed).points)
+        # random starts move many nodes far; grid_tour starts keep the
+        # larger polishes short
+        start = (rng.permutation(n).tolist() if n < 300
+                 else grid_tour(pts, wf, alpha, build_tiling(n, 1.0)).order)
+        two_opt(pts, Tour(tuple(start), 0.0), wf, alpha)
+    # below 17 nodes the shorter side of a reversal never wrapped here
+    assert ("move", True) in seen and (n < 17 or ("reverse", True) in seen), sorted(seen)
 
 
 def test_two_opt_ends_on_a_full_wave_that_finds_nothing(monkeypatch):
@@ -935,6 +1004,25 @@ def test_two_opt_memory_is_linear():
         tracemalloc.stop()
     assert p.weight < g.weight
     assert peak < 16 * 2**20
+
+
+def test_two_opt_working_set_is_bounded():
+    # beyond its O(n·K) candidate lists the polish keeps no large temporary:
+    # the ring search scores RING_PAIRS pairs at a time, every chunk writes
+    # its gains into one buffer, and the movers update the edge weights in
+    # place; blocks of 65 536 pairs and a pass over every edge after each
+    # chunk that moved something put the traced peak at 8.25 MiB here
+    n = 4096
+    pts = random_points(n, seed=4096)
+    g = grid_tour(pts, EU, 1.0, build_tiling(n, 1.0))
+    tracemalloc.start()
+    try:
+        p = two_opt(pts, g, EU, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p.weight < g.weight
+    assert peak < 4 * 2**20, peak
 
 
 def test_two_opt_deterministic():
