@@ -54,6 +54,11 @@ BETA_CURVES = {
     # moments are computed at exponents no default curve reaches
     "beta_curve_alpha_past_8.csv": ["--eps1", "1", "--eps2", "1", *BETA_GRID, "--alpha-min", "8.5",
                                     "--alpha-max", "12", "--alpha-step", "1.75"],
+    # C1's edge cases: at alpha = 0.05 its argmax (0.025) lies below the
+    # first grid point 5/128, so the refinement brackets (grid[0] / 2, grid[1])
+    "beta_curve_eps1_0.2_eps2_5.csv": ["--eps1", "0.2", "--eps2", "5", *BETA_GRID,
+                                       "--alpha-min", "0.05", "--alpha-max", "4",
+                                       "--alpha-step", "0.05"],
 }
 # the benchmark's reference curve: the default 512-point grid, read only
 BETA_REFERENCE = os.path.join(os.path.dirname(os.path.dirname(GOLDEN)), "bench", "beta_reference.csv")
