@@ -7,25 +7,34 @@ constants C1(A) and C2(A), the bracket constants beta_low / beta_up obtained
 by optimizing over the cell-size parameter A, and the Bernstein/Chernoff
 tail estimate used to sanity-check empirical frequencies.
 
-beta_up's grid scan is bounded.  Each piece of
+Both grid scans, beta_low's over C1 and beta_up's over C2, are bounded.
+Each objective is built from pieces monotone in A.  C1 is a monotone power
+times a rising and a falling factor,
+
+    C1(A) = A^alpha / A^2 * (1 - e^(-eps1 A^2)) * e^(-8 eps2 A^2),
+
+and in
 
     C2(A) = (2A)^alpha + 2^alpha A^(alpha-2) (M1 + M2)
 
-is monotone in A: M1 = E T~^alpha falls as the dense-cell probability p
-rises, M2 = E T^^alpha rises as 1 - p falls, (2A)^alpha rises and
-A^(alpha-2) is monotone.  So between two evaluated grid points A0 < A1,
+M1 = E T~^alpha falls as the dense-cell probability p rises, M2 = E T^^alpha
+rises as 1 - p falls, (2A)^alpha rises and A^(alpha-2) is monotone.  So
+between two evaluated grid points A0 < A1,
 
+    C1 <= max(A0^alpha / A0^2, A1^alpha / A1^2) (1 - e^(-eps1 A1^2)) e^(-8 eps2 A0^2),
     C2 >= (2A0)^alpha + 2^alpha min(A0^(alpha-2), A1^(alpha-2)) (M1(A1) + M2(A0)),
 
-from moments already computed at the two ends.  The scan evaluates every
+the second from moments already computed at the two ends.  The scan
+(``_optimize``, which minimizes -C1 and C2) evaluates every
 ``_SCAN_STRIDE``-th grid point and the last, then splits at its midpoint
-every interval whose bound, shrunk by ``_C2_BOUND_MARGIN``, does not exceed
+every interval whose bound, widened by ``_BOUND_MARGIN``, does not exceed
 the best value found so far; the others are dropped unevaluated.  Both ends
-of a dropped interval are finite, so at a point inside it the power
-(2A)^alpha <= (2A1)^alpha and the division by A^2 >= A0^2 cannot fail:
-C2 there either raises SeriesConvergenceError, where a full scan skips the
-point too, or returns a value strictly above the minimum.  The argmin and
-its value are therefore the full scan's, bit for bit.
+of a dropped interval are finite, so at a point inside it C1 is finite too,
+and for C2 the power (2A)^alpha <= (2A1)^alpha and the division by
+A^2 >= A0^2 cannot fail: the objective there either raises
+SeriesConvergenceError, where a full scan skips the point too, or returns a
+value strictly worse than the optimum.  The argmin and its value are
+therefore the full scan's, bit for bit.
 """
 
 from __future__ import annotations
@@ -66,16 +75,17 @@ _EM_COEFFS = tuple(b / math.factorial(2 * j) for j, b in enumerate(
 _EM_N = 10
 _COMPLEMENT_DIRECT_BELOW = 2.0**-10
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# The bounded C2 scan first evaluates every 32nd grid point (17 of 512).
+# The bounded scan first evaluates every 32nd grid point (17 of 512).
 # On the default beta curve a stride of 16 makes 1648 moment calls, 32
 # makes 1438 and 64 makes 1340, so strides past 32 save little.
 _SCAN_STRIDE = 32
-# C2's interval bound is shrunk by this relative margin before it is
-# compared with a computed C2.  The computed moments are within tol = 1e-9
-# of theirs on values >= 1, and rounding in p, q, the powers and the sums
-# adds about 1e-13, so computed C2 values and bounds are within 1e-8 of
-# the true ones, far inside 1e-6.
-_C2_BOUND_MARGIN = 1e-6
+# An interval bound is widened by this relative margin before it is
+# compared with a computed objective.  The computed moments are within
+# tol = 1e-9 of theirs on values >= 1, and rounding in p, q, the powers and
+# the sums adds about 1e-13, so computed C2 values and bounds are within
+# 1e-8 of the true ones, far inside 1e-6; C1's closed-form factors are
+# within a few ulps of theirs.
+_BOUND_MARGIN = 1e-6
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -324,6 +334,22 @@ def _c1_formula(a: float, alpha: float, eps1: float, eps2: float, c1: float) -> 
     return (c1 * a) ** alpha / a2 * (-math.expm1(-eps1 * a2)) * math.exp(-8.0 * eps2 * a2)
 
 
+def _c1_scan(alpha: float, eps1: float, eps2: float):
+    """-C1(A) at c1 = 1 with its interval bound, as ``_optimize`` takes them:
+    minus the module docstring's bound on C1, from the factors of
+    ``_c1_formula``, widened by ``_BOUND_MARGIN``."""
+    def neg_c1(a: float) -> float:
+        return -_c1_formula(a, alpha, eps1, eps2, 1.0)
+
+    def bound(a0: float, a1: float) -> float:
+        a20, a21 = a0 * a0, a1 * a1
+        ub = (max(a0**alpha / a20, a1**alpha / a21)
+              * (-math.expm1(-eps1 * a21)) * math.exp(-8.0 * eps2 * a20))
+        return -ub * (1.0 + _BOUND_MARGIN)
+
+    return neg_c1, bound
+
+
 def _c2_formula(a: float, alpha: float, delta: float, c2: float, tol: float,
                 moments: dict | None = None) -> float:
     """C2(A) = (2 c2 A)^alpha * (1 + (E T~^alpha + E T^^alpha) / A^2) with T~
@@ -347,7 +373,7 @@ def _c2_scan(alpha: float, delta: float, tol: float):
     """C2(A) at c2 = 1 with its interval bound, as ``_optimize`` takes them.
     The bound reads the moments the objective recorded at the two ends; it
     is the module docstring's, through 2^alpha A^(alpha-2) = (2A)^alpha / A^2,
-    shrunk by ``_C2_BOUND_MARGIN``."""
+    widened by ``_BOUND_MARGIN``."""
     moments: dict[float, tuple[float, float]] = {}
 
     def c2(a: float) -> float:
@@ -356,7 +382,7 @@ def _c2_scan(alpha: float, delta: float, tol: float):
     def bound(a0: float, a1: float) -> float:
         pow0, pow1 = (2.0 * a0) ** alpha, (2.0 * a1) ** alpha
         lb = pow0 + min(pow0 / (a0 * a0), pow1 / (a1 * a1)) * (moments[a1][0] + moments[a0][1])
-        return lb * (1.0 - _C2_BOUND_MARGIN)
+        return lb * (1.0 - _BOUND_MARGIN)
 
     return c2, bound
 
@@ -390,16 +416,15 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return xm, f(xm)
 
 
-def _optimize(f, a_max: float, grid_points: int, refine_tol: float, bound=None):
-    """Minimize f over (0, a_max]: a grid scan plus golden-section refinement
-    around the best grid point.  Returns (argmin, min).  A grid point at
-    which f raises SeriesConvergenceError is left out of the scan (such
-    points sit far from the optimum by construction).
+def _optimize(f, a_max: float, grid_points: int, refine_tol: float, bound):
+    """Minimize f over (0, a_max]: a bounded grid scan plus golden-section
+    refinement around the best grid point.  Returns (argmin, min).  A grid
+    point at which f raises SeriesConvergenceError is left out of the scan
+    (such points sit far from the optimum by construction).
 
-    Without ``bound`` every grid point is evaluated.  With it the scan
-    evaluates every ``_SCAN_STRIDE``-th grid point and the last, then takes
-    the open intervals between evaluated points in increasing order of
-    ``bound(a0, a1)``.  Once f has returned finite values at both ends (an
+    The scan evaluates every ``_SCAN_STRIDE``-th grid point and the last,
+    then takes the open intervals between evaluated points in increasing
+    order of ``bound(a0, a1)``.  Once f has returned finite values at both ends (an
     end that did not gives no bound), f over [a0, a1] must either return
     at least that bound or raise SeriesConvergenceError.  The scan splits
     an interval at its midpoint while its bound does not exceed the best
@@ -424,8 +449,7 @@ def _optimize(f, a_max: float, grid_points: int, refine_tol: float, bound=None):
         ends_ok = math.isfinite(vals[i]) and math.isfinite(vals[j])
         return (bound(grid[i], grid[j]) if ends_ok else -math.inf), i, j
 
-    stride = 1 if bound is None else _SCAN_STRIDE
-    marks = list(range(0, grid_points - 1, stride)) + [grid_points - 1]
+    marks = list(range(0, grid_points - 1, _SCAN_STRIDE)) + [grid_points - 1]
     for i in marks:
         evaluate(i)
     heap = [interval(i, j) for i, j in zip(marks, marks[1:]) if j - i > 1]
@@ -463,9 +487,8 @@ def beta_bounds(
     beta_low maximizes C1(A) and beta_up minimizes C2(A), both with unit
     weight constants c1 = c2 = 1, over A in (0, a_max]; C2's moments are
     taken to 1e-9, and grid points where they cannot be computed are left
-    out.  C1 is closed-form and scanned at every grid point; C2's scan is
-    bounded (module docstring) and returns the full scan's result bit for
-    bit.
+    out.  Both scans are bounded (module docstring) and return the full
+    scan's result bit for bit.
     """
     if not (0.0 < alpha < math.inf and 0.0 < a_max < math.inf):
         raise ValueError("alpha and a_max must be positive and finite")
@@ -473,10 +496,10 @@ def beta_bounds(
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
     # rejects bad bounds before scanning
     delta = ModelParams(eps1=eps1, eps2=eps2, alpha=alpha).delta
-    arg_lo, neg_lo = _optimize(
-        lambda a: -_c1_formula(a, alpha, eps1, eps2, 1.0), a_max, grid_points, refine_tol)
-    c2, bound = _c2_scan(alpha, delta, 1e-9)
-    arg_up, val_up = _optimize(c2, a_max, grid_points, refine_tol, bound)
+    neg_c1, c1_bound = _c1_scan(alpha, eps1, eps2)
+    arg_lo, neg_lo = _optimize(neg_c1, a_max, grid_points, refine_tol, c1_bound)
+    c2, c2_bound = _c2_scan(alpha, delta, 1e-9)
+    arg_up, val_up = _optimize(c2, a_max, grid_points, refine_tol, c2_bound)
     return BetaResult(-neg_lo, arg_lo), BetaResult(val_up, arg_up)
 
 

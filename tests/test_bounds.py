@@ -638,6 +638,23 @@ def test_default_curve_evaluates_few_grid_points(monkeypatch):
     assert total <= 2000
 
 
+def test_default_curve_evaluates_c1_at_few_points(monkeypatch):
+    # C1's scan is bounded too: 702 evaluations on the default curve, where
+    # a scan of every grid point makes 4440
+    calls = 0
+    real = bounds._c1_formula
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(bounds, "_c1_formula", counting)
+    for alpha in np.arange(0.25, 2.0 + 1e-12, 0.25).tolist():
+        beta_bounds(alpha, 1.0, 1.0)
+    assert calls <= 1000
+
+
 def test_curves_past_alpha_8_evaluate_few_grid_points(monkeypatch):
     # past alpha = 8 too no dropped grid point is evaluated
     for alpha in (8.5, 10.0, 12.0):
