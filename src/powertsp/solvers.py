@@ -160,12 +160,14 @@ def _cycle_rows(n: int) -> np.ndarray:
     perms = np.zeros((1, 0), dtype=np.int8)
     for m in range(1, n):
         # the m! orders of 0..m-1: each first value f in turn, followed by
-        # the orders of 0..m-2 with every value >= f moved up by one
-        first = np.repeat(np.arange(m, dtype=np.int8), len(perms))[:, None]
-        rest = np.tile(perms, (m, 1))
-        rest += rest >= first
-        perms = np.hstack((first, rest))
-    perms = perms[perms[:, 0] <= perms[:, -1]]
+        # the orders of 0..m-2 with every value >= f moved up by one; the
+        # last level drops each block's reflections as the block is made
+        blocks = []
+        for f in range(m):
+            block = np.hstack((np.full((len(perms), 1), f, dtype=np.int8), perms))
+            block[:, 1:] += perms >= f
+            blocks.append(block[block[:, 0] <= block[:, -1]] if m == n - 1 else block)
+        perms = np.concatenate(blocks)
     perms += 1
     perms.setflags(write=False)
     return perms

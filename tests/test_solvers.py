@@ -211,6 +211,19 @@ def test_cycle_rows_are_cached_read_only():
         rows[0, 0] = 0
 
 
+def test_cycle_rows_drop_reflections_block_by_block():
+    # the 1.56 MiB of rows at n = 10 are kept from 9! orders; building all
+    # of them before dropping the reflected half peaked at 9.52 MiB
+    tracemalloc.start()
+    try:
+        rows = _cycle_rows.__wrapped__(10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (181440, 9)
+    assert peak < 5 * 2**20, peak
+
+
 @pytest.mark.parametrize("n", [17, 18])
 def test_exact_returns_the_hull_order_at_the_cap(n):
     # points in convex position: under the euclidean weight at alpha = 1 the
