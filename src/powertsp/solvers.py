@@ -322,6 +322,14 @@ def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
 _FLIP_Y = np.array([1.0, -1.0])
 
 
+def _cell_coords(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates in cell units of a k x k grid, >= 0 on the square: the
+    products that grid_col_row floors, and the column and row of each
+    point's cell that it returns."""
+    at = (pts * _FLIP_Y + HALF) * k
+    return at, np.minimum(at.astype(np.int64), k - 1)
+
+
 def _candidate_lists(pts: np.ndarray, wf: WeightFunction) -> tuple[np.ndarray, np.ndarray]:
     """Each node's ``CANDIDATE_K`` nearest other nodes under h (every other
     node when n <= K + 1), nearest first with ties to the lower index, and
@@ -333,76 +341,79 @@ def _candidate_lists(pts: np.ndarray, wf: WeightFunction) -> tuple[np.ndarray, n
     own holds every node that can beat its K-th best h, h_K, once each block
     side that the square does not clip lies farther than h_K / c1: c1·d <= h,
     so a node beyond that side has h > h_K.  Nodes whose block fails the
-    test widen it, R doubling per round.  A round scores its nodes in chunks
-    of about ``RING_PAIRS`` (node, candidate) pairs, which bounds the
-    temporaries.
+    test widen it, R doubling per round.  A round lays out the blocks of
+    ``RING_PAIRS`` / R nodes at a time, and scores them in chunks of about
+    ``RING_PAIRS`` (node, candidate) pairs, which bounds the temporaries.
     """
     n = pts.shape[0]
     kk = min(CANDIDATE_K, n - 1)
     k = max(1, math.isqrt(n // CELL_NODES))
-    # coordinates in cell units, >= 0 on the square: the products that
-    # grid_col_row floors, so cr holds its column and row of each node's cell
-    at = (pts * _FLIP_Y + HALF) * k
-    cr = np.minimum(at.astype(np.int64), k - 1)
+    cr = _cell_coords(pts, k)[1]
     cell = cr[:, 1] * k + cr[:, 0]
     # a stable sort of the narrowest type that holds every cell: numpy
     # radix-sorts 8- and 16-bit keys, and any stable sort gives the same order
     by_cell = cell.astype(np.min_scalar_type(k * k)).argsort(kind="stable")
     start = np.zeros(k * k + 1, dtype=np.int64)
     np.bincount(cell, minlength=k * k).cumsum(out=start[1:])
+    del cr, cell  # each slice of a round recomputes its nodes' cells
     nb = np.empty((n, kk), dtype=np.intp)
     hb = np.empty((n, kk))
     todo = np.arange(n)
     radius = 2
     while todo.size:
-        low, high = cr[todo] - radius, cr[todo] + radius + 1
-        # cells of the block, one row of cells (a run of by_cell) at a time
-        rows = low[:, 1:] + np.arange(2 * radius + 1)
-        first = np.minimum(np.maximum(rows, 0), k - 1) * k
-        lo = start[first + np.maximum(low[:, :1], 0)]
-        hi = np.where((rows >= 0) & (rows < k), start[first + np.minimum(high[:, :1], k)], lo)
-        # distance, in cell units, to the nearest block side not clipped by the grid
-        reach = np.where(np.concatenate((low > 0, high < k), axis=1),
-                         np.concatenate((at[todo] - low, high - at[todo]), axis=1),
-                         np.inf).min(axis=1) * (1.0 - 1e-9) * wf.c1 / k
         done = np.zeros(todo.size, dtype=bool)
-        cum = (hi - lo).cumsum()  # pairs up to each run, self pairs included
-        a = 0
-        while a < todo.size:
-            base = cum[a * rows.shape[1] - 1] if a else 0
-            b = max(a + 1, int(cum.searchsorted(base + RING_PAIRS, side="right"))
-                    // rows.shape[1])
-            lens = (hi[a:b] - lo[a:b]).ravel()
-            cand = by_cell[_ranges(lo[a:b].ravel(), lens)]
-            owner = np.arange(b - a).repeat(rows.shape[1]).repeat(lens)
-            nodes = todo[a:b]
-            keep = cand != nodes[owner]
-            owner, cand = owner[keep], cand[keep]
-            h = wf.h_pairs(pts.take(nodes[owner], axis=0), pts.take(cand, axis=0))
-            count = np.bincount(owner, minlength=b - a)
-            full = count >= kk
-            if full.any():
-                # keep each node's pairs up to its K-th smallest h (ties
-                # included), then order those by (h, index), one table row
-                # per node, padded by (inf, n), which sorts after every pair
-                table = np.empty((b - a, max(kk, count.max())))
-                table.fill(np.inf)
-                table[owner, np.arange(owner.size) - (count.cumsum() - count)[owner]] = h
-                table.partition(kk - 1, axis=1)
-                keep = h <= table[owner, kk - 1]
-                owner, cand, h = owner[keep], cand[keep], h[keep]
+        # a slice's arrays of cell rows hold (2R + 1) / R * RING_PAIRS entries
+        step = max(1, RING_PAIRS // radius)
+        for s in range(0, todo.size, step):
+            nodes_s, done_s = todo[s:s + step], done[s:s + step]
+            at, cr = _cell_coords(pts.take(nodes_s, axis=0), k)
+            low, high = cr - radius, cr + radius + 1
+            # cells of the block, one row of cells (a run of by_cell) at a time
+            rows = low[:, 1:] + np.arange(2 * radius + 1)
+            first = np.minimum(np.maximum(rows, 0), k - 1) * k
+            lo = start[first + np.maximum(low[:, :1], 0)]
+            hi = np.where((rows >= 0) & (rows < k), start[first + np.minimum(high[:, :1], k)], lo)
+            # distance, in cell units, to the nearest block side not clipped by the grid
+            reach = np.where(np.concatenate((low > 0, high < k), axis=1),
+                             np.concatenate((at - low, high - at), axis=1),
+                             np.inf).min(axis=1) * (1.0 - 1e-9) * wf.c1 / k
+            cum = (hi - lo).cumsum()  # pairs up to each run, self pairs included
+            a = 0
+            while a < nodes_s.size:
+                base = cum[a * rows.shape[1] - 1] if a else 0
+                b = max(a + 1, int(cum.searchsorted(base + RING_PAIRS, side="right"))
+                        // rows.shape[1])
+                lens = (hi[a:b] - lo[a:b]).ravel()
+                cand = by_cell[_ranges(lo[a:b].ravel(), lens)]
+                owner = np.arange(b - a).repeat(rows.shape[1]).repeat(lens)
+                nodes = nodes_s[a:b]
+                keep = cand != nodes[owner]
+                owner, cand = owner[keep], cand[keep]
+                h = wf.h_pairs(pts.take(nodes[owner], axis=0), pts.take(cand, axis=0))
                 count = np.bincount(owner, minlength=b - a)
-                col = np.arange(owner.size) - (count.cumsum() - count)[owner]
-                h_row = np.full((b - a, count.max()), np.inf)
-                h_row[owner, col] = h
-                c_row = np.full(h_row.shape, n)
-                c_row[owner, col] = cand
-                h_row, c_row = h_row[full], c_row[full]
-                pick = np.lexsort((c_row, h_row), axis=-1)[:, :kk]
-                nb[nodes[full]] = np.take_along_axis(c_row, pick, axis=1)
-                hb[nodes[full]] = h_k = np.take_along_axis(h_row, pick, axis=1)
-                done[a:b][full] = h_k[:, -1] < reach[a:b][full]
-            a = b
+                full = count >= kk
+                if full.any():
+                    # keep each node's pairs up to its K-th smallest h (ties
+                    # included), then order those by (h, index), one table row
+                    # per node, padded by (inf, n), which sorts after every pair
+                    table = np.empty((b - a, max(kk, count.max())))
+                    table.fill(np.inf)
+                    table[owner, np.arange(owner.size) - (count.cumsum() - count)[owner]] = h
+                    table.partition(kk - 1, axis=1)
+                    keep = h <= table[owner, kk - 1]
+                    owner, cand, h = owner[keep], cand[keep], h[keep]
+                    count = np.bincount(owner, minlength=b - a)
+                    col = np.arange(owner.size) - (count.cumsum() - count)[owner]
+                    h_row = np.full((b - a, count.max()), np.inf)
+                    h_row[owner, col] = h
+                    c_row = np.full(h_row.shape, n)
+                    c_row[owner, col] = cand
+                    h_row, c_row = h_row[full], c_row[full]
+                    pick = np.lexsort((c_row, h_row), axis=-1)[:, :kk]
+                    nb[nodes[full]] = np.take_along_axis(c_row, pick, axis=1)
+                    hb[nodes[full]] = h_k = np.take_along_axis(h_row, pick, axis=1)
+                    done_s[a:b][full] = h_k[:, -1] < reach[a:b][full]
+                a = b
         todo = todo[~done]
         radius *= 2
     return nb, hb
