@@ -424,13 +424,14 @@ def _optimize(f, a_max: float, grid_points: int, refine_tol: float, bound):
 
     The scan evaluates every ``_SCAN_STRIDE``-th grid point and the last,
     then takes the open intervals between evaluated points in increasing
-    order of ``bound(a0, a1)``.  Once f has returned finite values at both ends (an
-    end that did not gives no bound), f over [a0, a1] must either return
-    at least that bound or raise SeriesConvergenceError.  The scan splits
-    an interval at its midpoint while its bound does not exceed the best
-    value found; once the least bound left does, every point left is
+    order of ``bound(a0, a1)``.  Once f has returned finite values at both
+    ends (an end that did not gives no bound), f over [a0, a1] must either
+    return at least that bound or raise SeriesConvergenceError.  The scan
+    splits an interval at its midpoint while its bound does not exceed the
+    best value found; once the least bound left does, every point left is
     dropped unevaluated, so the argmin and its value (first-index ties
-    included) are the full scan's."""
+    included) are those of a full scan, which evaluates f at every grid
+    point."""
     if grid_points < 3:
         raise ValueError("need at least 3 grid points")
     grid = np.linspace(a_max / grid_points, a_max, grid_points).tolist()

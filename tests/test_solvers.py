@@ -759,7 +759,7 @@ def test_candidate_lists_match_argsort(kind, pairs, monkeypatch):
         assert hb.tolist() == ref_hb.tolist(), label
 
 
-def test_candidate_search_transient_does_not_grow_with_n():
+def test_candidate_search_transient_is_bounded():
     # beyond its (nb, hb) outputs the search lays out blocks RING_PAIRS / R
     # nodes at a time; laid out for every node at once, they put the traced
     # peak 21.3 MiB above the outputs here
